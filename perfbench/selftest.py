@@ -6,9 +6,10 @@
 Runs every workload untraced and traced at tiny scale and asserts that
 every metric is emitted, that the outputs check clean, that the traced
 run records spans for every layer and reproduces the untraced digests,
-that a perturbed configuration (doubled epoch length) is reported as
-failed ops, that BENCHMARK.json matches the tables in run.py, and that
-the benchmark refuses to run without the simulator sources.
+that the controller drivers build what System builds, that a perturbed
+configuration (doubled epoch length) is reported as failed ops, that
+BENCHMARK.json matches the tables in run.py, and that the benchmark
+refuses to run without the simulator sources.
 """
 
 import json
@@ -86,6 +87,9 @@ def main():
                     {"fuzz"} if workload == "crash_campaign" else set())
                 check(want_layers <= layers,
                       f"{workload}: spans for {sorted(want_layers)}")
+                check(rep["driver"]["controller_check"] == [],
+                      f"{workload}: controller drivers build what System "
+                      f"builds {rep['driver']['controller_check']}")
                 check(rep["driver"]["traced_rounds"] >= 1,
                       f"{workload}: traced rounds checked against the "
                       f"untraced digests")

@@ -6,9 +6,9 @@
 
 #include "cells.hh"
 
-#include <atomic>
+#include <algorithm>
+#include <random>
 #include <sstream>
-#include <thread>
 
 #include "trace.hh"
 #include "util.hh"
@@ -189,7 +189,21 @@ runCell(const CellSpec& spec, CellResult* exact)
     double t2 = now();
     {
         Span span("harness.run");
-        sys->run(60 * kSecond);
+        const Tick limit = 60 * kSecond;
+        if (spec.cfg.channels == 1 && spec.cfg.sim_threads == 1) {
+            // System::run(d) steps while the workload is unfinished,
+            // the queue non-empty and now < its start + d; slicing
+            // that loop executes exactly the events of one call.
+            EventQueue& eq = sys->eventq();
+            const Tick end = eq.now() + limit;
+            while (!sys->finished() && !eq.empty() && eq.now() < end) {
+                const double ts = now();
+                sys->run(std::min(kRunSlice, end - eq.now()));
+                s.slice_s.push_back(now() - ts);
+            }
+        } else {
+            sys->run(limit);
+        }
     }
     double t3 = now();
     std::ostringstream dump;
@@ -271,7 +285,7 @@ campaignFuzzConfig(const Options& opt)
 }
 
 CampaignRound
-runCampaignRound(const Options& opt)
+runCampaignRound(const Options& opt, unsigned round)
 {
     Span round_span("fuzz.round");
     const fuzz::FuzzerConfig fc = campaignFuzzConfig(opt);
@@ -322,34 +336,28 @@ runCampaignRound(const Options& opt)
         }
     }
 
-    // Execute on exactly two workers; each case is timed where it runs
-    // and its span is added afterwards from this thread.
+    // Execute on this thread, one case at a time: on two workers a
+    // case's time depended on the case running beside it (README.md).
+    // Each round runs the plan in its own shuffled order, so the rounds
+    // sample a case at different moments of host load.
+    std::vector<std::size_t> order(plan.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::mt19937_64 rng(opt.seed * 1000003 + round);
+    std::shuffle(order.begin(), order.end(), rng);
     std::vector<fuzz::CaseStatus> status(plan.size());
-    std::vector<double> start(plan.size()), end(plan.size());
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-        for (std::size_t i = next++; i < plan.size(); i = next++) {
-            start[i] = now();
-            status[i] = fuzz::runCrashCase(fc, plan[i]).status;
-            end[i] = now();
-        }
-    };
-    const double cases_t0 = now();
-    {
-        std::thread a(worker), b(worker);
-        a.join();
-        b.join();
+    std::vector<double> case_ms(plan.size());
+    for (std::size_t i : order) {
+        Span span(plan[i].channels == 1 ? "fuzz.case.ch1" : "fuzz.case.ch2");
+        const double t0 = now();
+        status[i] = fuzz::runCrashCase(fc, plan[i]).status;
+        case_ms[i] = (now() - t0) * 1e3;
     }
-    r.cases_wall_s = now() - cases_t0;
 
     Digest digest;
     for (std::size_t i = 0; i < plan.size(); ++i) {
-        Tracer::get().add(plan[i].channels == 1 ? "fuzz.case.ch1"
-                                                : "fuzz.case.ch2",
-                          start[i], end[i]);
-        const double ms = (end[i] - start[i]) * 1e3;
         (plan[i].channels == 1 ? r.case_ms_ch1 : r.case_ms_ch2)
-            .push_back(ms);
+            .push_back(case_ms[i]);
         ++r.cases;
         if (status[i] == fuzz::CaseStatus::NotReached)
             ++r.not_reached;

@@ -52,12 +52,21 @@ struct CellSpec
     std::function<std::unique_ptr<Workload>()> make_workload;
 };
 
+/**
+ * Simulated length of one timed slice of a cell's run (see runCell).
+ * About a host millisecond on the workloads here.
+ */
+constexpr thynvm::Tick kRunSlice = 25 * thynvm::kMicrosecond;
+
 /** Host timings and the output digest of one execution of a cell. */
 struct CellSample
 {
     double build_s = 0.0;
     double start_s = 0.0;
     double run_s = 0.0;
+    /** Host seconds of each kRunSlice of the run, in order; empty for
+     *  a multi-channel cell, whose run is timed whole. */
+    std::vector<double> slice_s;
     double dump_s = 0.0;
     bool finished = false;
     std::string digest;
@@ -84,8 +93,11 @@ struct CellResult
 std::vector<CellSpec> cellsFor(const Options& opt);
 
 /**
- * Build, start, run and dump one cell. @p exact (non-null on a
- * cell's first execution) receives the exact outputs.
+ * Build, start, run and dump one cell. A single-channel cell runs in
+ * kRunSlice steps of simulated time, each timed, through the same
+ * System::run loop a single call would execute (the digest check
+ * proves the outputs identical). @p exact (non-null on a cell's first
+ * execution) receives the exact outputs.
  */
 CellSample runCell(const CellSpec& spec, CellResult* exact);
 
@@ -97,7 +109,6 @@ struct CampaignRound
 {
     /** Host seconds of each of the kPlanRepeats plannings. */
     std::vector<double> plan_s;
-    double cases_wall_s = 0.0;
     std::vector<double> case_ms_ch1;
     std::vector<double> case_ms_ch2;
     std::uint64_t cases = 0;
@@ -116,9 +127,10 @@ thynvm::fuzz::FuzzerConfig campaignFuzzConfig(const Options& opt);
 
 /**
  * One round of the crash campaign: plan (site enumeration) then every
- * planned crash case on a fixed pool of two workers.
+ * planned crash case, one at a time on the calling thread, in an order
+ * shuffled by the seed and @p round (the round's index in its run).
  */
-CampaignRound runCampaignRound(const Options& opt);
+CampaignRound runCampaignRound(const Options& opt, unsigned round);
 
 /**
  * Simulated milliseconds of each campaign profile run, in the order of

@@ -6,6 +6,7 @@
 #include "drivers.hh"
 
 #include <cstring>
+#include <sstream>
 
 #include "common/rng.hh"
 #include "mem/paged_bytes.hh"
@@ -378,7 +379,56 @@ makeController(const SystemConfig& cfg, EventQueue& eq,
     panic("unhandled system kind");
 }
 
+/**
+ * Capacities, device sizes and the stats dump of @p c, one item per
+ * line, with its name prefix @p prefix rewritten to "ctrl".
+ */
+std::vector<std::string>
+describeController(MemController& c, const std::string& prefix)
+{
+    std::ostringstream os;
+    os << "phys_capacity " << c.physCapacity() << "\n";
+    for (MemDevice* d : {c.nvmDevice(), c.dramDevice()}) {
+        if (d != nullptr)
+            os << "device " << d->name() << " " << d->params().capacity
+               << "\n";
+    }
+    c.stats().dump(os);
+    for (MemDevice* d : {c.nvmDevice(), c.dramDevice()}) {
+        if (d != nullptr)
+            d->stats().dump(os);
+    }
+    std::vector<std::string> lines;
+    std::istringstream in(os.str());
+    std::string line;
+    while (std::getline(in, line)) {
+        for (std::size_t at = line.find(prefix); at != std::string::npos;
+             at = line.find(prefix, at))
+            line.replace(at, prefix.size(), "ctrl");
+        lines.push_back(line);
+    }
+    return lines;
+}
+
 } // namespace
+
+std::string
+controllerMismatch(const SystemConfig& cfg, Workload& wl)
+{
+    EventQueue eq;
+    std::unique_ptr<MemController> mine = makeController(cfg, eq, [] {});
+    System sys(cfg, wl);
+    const std::vector<std::string> a = describeController(*mine, "drv.ctrl");
+    const std::vector<std::string> b =
+        describeController(sys.controller(), "sys.ctrl");
+    for (std::size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+        const std::string x = i < a.size() ? a[i] : "<none>";
+        const std::string y = i < b.size() ? b[i] : "<none>";
+        if (x != y)
+            return "driver '" + x + "' != System '" + y + "'";
+    }
+    return "";
+}
 
 ControllerCost
 controllerCost(const SystemConfig& cfg,

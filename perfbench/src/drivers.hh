@@ -95,6 +95,16 @@ struct ControllerCost
 ControllerCost controllerCost(const thynvm::SystemConfig& cfg,
                               const std::vector<BlockAccess>& stream);
 
+/**
+ * The controller drivers build each kind by hand, copying System's
+ * construction. Compare a fresh driver-built controller of @p cfg.kind
+ * with the one a System of @p cfg builds over @p wl: capacities, device
+ * sizes and the names and values of every stat.
+ * @return "" when they match, else the first line that differs.
+ */
+std::string controllerMismatch(const thynvm::SystemConfig& cfg,
+                               thynvm::Workload& wl);
+
 } // namespace perfbench
 
 #endif // PERFBENCH_DRIVERS_HH

@@ -10,12 +10,14 @@
  * A workload is a fixed list of simulated cells (or, for
  * crash_campaign, a crash-case plan). One round executes every cell
  * once from a fresh System; rounds repeat until --seconds is spent
- * (at least three), and each timing is the mean over rounds (util.hh
- * says why not the median). Every execution's stats digest is reported
- * so the caller can check it against the recorded one.
+ * (at least three). Each host time is taken at its fastest round (a
+ * cell's run slice by slice, cells.hh) and the end-to-end ones are
+ * scaled to the reference clock (util.hh; README.md says why). Every
+ * execution's stats digest is reported so the caller can check it
+ * against the recorded one.
  *
- * --trace 0 reports the end-to-end metrics. --trace 1 spends half the
- * budget untraced and half traced (spans around every call into the
+ * --trace 0 reports the end-to-end metrics. --trace 1 alternates
+ * untraced rounds with traced ones (spans around every call into the
  * simulator), runs the standalone layer drivers, and reports the
  * per-layer metrics plus span self times and the tracing overhead.
  *
@@ -102,6 +104,7 @@ repeatRounds(const Options& opt, double budget, Fn&& round)
     const double t0 = now();
     unsigned rounds = 0;
     for (;;) {
+        hostClock().sample();
         round();
         ++rounds;
         if (opt.rounds != 0) {
@@ -136,9 +139,9 @@ emitMetrics(Json& j, const char* key, const std::vector<Metric>& ms)
     j.endObject();
 }
 
-/** Per cell, the mean over rounds of @p pick. */
+/** Per cell, the minimum over rounds of @p pick. */
 std::vector<double>
-centralPerCell(const std::vector<CellResult>& cells,
+fastestPerCell(const std::vector<CellResult>& cells,
                double (*pick)(const CellSample&))
 {
     std::vector<double> out;
@@ -146,7 +149,7 @@ centralPerCell(const std::vector<CellResult>& cells,
         std::vector<double> v;
         for (const CellSample& s : c.samples)
             v.push_back(pick(s));
-        out.push_back(mean(v));
+        out.push_back(minimum(v));
     }
     return out;
 }
@@ -158,6 +161,46 @@ sum(const std::vector<double>& v)
     for (double x : v)
         s += x;
     return s;
+}
+
+/**
+ * Per cell, its run time with every slice at its fastest over rounds;
+ * the fastest whole run when the cell is not sliced (or, which the
+ * digest check would flag, its slice count varied).
+ */
+std::vector<double>
+runPerCell(const std::vector<CellResult>& cells)
+{
+    std::vector<double> out;
+    for (const CellResult& c : cells) {
+        std::vector<std::vector<double>> slices;
+        std::vector<double> whole;
+        bool aligned = !c.samples.empty();
+        for (const CellSample& s : c.samples) {
+            slices.push_back(s.slice_s);
+            whole.push_back(s.run_s);
+            aligned = aligned && !s.slice_s.empty() &&
+                      s.slice_s.size() == c.samples.front().slice_s.size();
+        }
+        out.push_back(aligned ? sum(minimumPerOp(slices)) : minimum(whole));
+    }
+    return out;
+}
+
+/**
+ * Host ms of every crash case at its fastest round. Every round runs
+ * the same plan, so case i is the same crash case in every round.
+ */
+std::vector<double>
+caseMsPerCase(const std::vector<CampaignRound>& rounds)
+{
+    std::vector<std::vector<double>> rows;
+    for (const CampaignRound& r : rounds) {
+        rows.push_back(r.case_ms_ch1);
+        rows.back().insert(rows.back().end(), r.case_ms_ch2.begin(),
+                           r.case_ms_ch2.end());
+    }
+    return minimumPerOp(rows);
 }
 
 /**
@@ -262,8 +305,6 @@ main(int argc, char** argv)
     const std::vector<CellSpec> specs =
         campaign ? std::vector<CellSpec>{campaignProfileCell(opt)}
                  : cellsFor(opt);
-    const double budget = opt.trace ? opt.seconds / 2 : opt.seconds;
-
     // The campaign's profile cell only feeds the per-layer metrics, so
     // it runs only in the traced invocation.
     std::vector<CellResult> cells(campaign && !opt.trace ? 0 : specs.size());
@@ -272,17 +313,26 @@ main(int argc, char** argv)
     if (campaign)
         campaign_sim_ms = campaignProfileSimMs(opt);
 
-    // Untraced measurement.
-    const unsigned rounds = repeatRounds(opt, budget, [&] {
+    // Untraced rounds; a traced run follows each with a traced round of
+    // the same work, so both sample the same phases of host load.
+    std::vector<CellResult> tcells(opt.trace ? specs.size() : 0);
+    std::vector<CampaignRound> tcamp;
+    const unsigned rounds = repeatRounds(opt, opt.seconds, [&] {
         if (campaign)
-            camp.push_back(runCampaignRound(opt));
+            camp.push_back(runCampaignRound(opt, camp.size()));
         if (!cells.empty())
             runAll(cells, specs);
+        if (opt.trace) {
+            Tracer::get().setEnabled(true);
+            if (campaign)
+                tcamp.push_back(runCampaignRound(opt, tcamp.size()));
+            runAll(tcells, specs);
+            Tracer::get().setEnabled(false);
+        }
     });
 
-    const std::vector<double> cell_run =
-        centralPerCell(cells, [](const CellSample& s) { return s.run_s; });
-    const std::vector<double> cell_setup = centralPerCell(
+    const std::vector<double> cell_run = runPerCell(cells);
+    const std::vector<double> cell_setup = fastestPerCell(
         cells, [](const CellSample& s) { return s.build_s + s.start_s; });
     const double cells_run_s = sum(cell_run);
 
@@ -300,27 +350,23 @@ main(int argc, char** argv)
     }
 
     if (campaign) {
-        std::vector<double> wall, plan, all_cases;
-        for (const CampaignRound& r : camp) {
-            wall.push_back(r.cases_wall_s);
+        std::vector<double> plan;
+        for (const CampaignRound& r : camp)
             plan.insert(plan.end(), r.plan_s.begin(), r.plan_s.end());
-            all_cases.insert(all_cases.end(), r.case_ms_ch1.begin(),
-                             r.case_ms_ch1.end());
-            all_cases.insert(all_cases.end(), r.case_ms_ch2.begin(),
-                             r.case_ms_ch2.end());
-        }
+        const std::vector<double> all_cases = caseMsPerCase(camp);
         std::vector<double> host_per_sim;
         for (std::size_t i = 0; i < campaign_sim_ms.size(); ++i) {
             std::vector<double> v;
             for (const CampaignRound& r : camp)
                 v.insert(v.end(), r.profile_ms[i].begin(),
                          r.profile_ms[i].end());
-            host_per_sim.push_back(ratio(mean(v), campaign_sim_ms[i]));
+            host_per_sim.push_back(ratio(minimum(v), campaign_sim_ms[i]));
         }
-        // Every round runs the same plan, so the case count is fixed.
-        run_s = mean(wall);
+        // Like a cell workload's, the sum over its ops: crash cases,
+        // each at its fastest round.
+        run_s = sum(all_cases) / 1e3;
         e2e = {{"run_s", run_s, "s"},
-               {"setup_s", mean(plan), "s"},
+               {"setup_s", minimum(plan), "s"},
                {"host_ms_per_sim_ms", geomean(host_per_sim), "ms/ms"},
                {"cases_per_s",
                 ratio(static_cast<double>(camp.front().cases), run_s),
@@ -332,9 +378,8 @@ main(int argc, char** argv)
         sim_ms = sum(campaign_sim_ms);
     } else {
         // The cells are distinct fixed ops, so the percentiles are taken
-        // across cells, each at its mean over rounds. Pooling the rounds
-        // instead would pick single rounds from one speed phase of the
-        // host (util.hh, mean()).
+        // across cells, each at its minimum over rounds, as they are
+        // across crash cases above.
         std::vector<double> host_per_sim, cell_ms;
         for (std::size_t i = 0; i < cells.size(); ++i) {
             host_per_sim.push_back(
@@ -353,6 +398,15 @@ main(int argc, char** argv)
                {"case_samples", static_cast<double>(cell_ms.size()),
                 "count"}};
     }
+    // Host times at the reference host's clock (util.hh).
+    const double clock_scale = hostClock().scale();
+    for (Metric& m : e2e) {
+        const std::string unit = m.unit;
+        if (unit == "s" || unit == "ms" || unit == "ms/ms")
+            m.value *= clock_scale;
+        else if (unit == "1/s")
+            m.value /= clock_scale;
+    }
     e2e.push_back({"peak_rss_mb", peakRssMb(), "MB"});
     e2e.push_back({"sim_ms", sim_ms, "ms"});
     e2e.push_back({"nvm_write_mb", nvm_write_mb, "MB"});
@@ -361,33 +415,16 @@ main(int argc, char** argv)
     std::map<std::string, double> span_self;
     std::size_t span_count = 0;
     unsigned traced_rounds = 0;
+    std::vector<std::string> controller_check;
     if (opt.trace) {
-        // Traced rounds: same work, spans on.
+        traced_rounds = rounds;
         Tracer::get().setEnabled(true);
-        std::vector<CellResult> tcells(specs.size());
-        std::vector<CampaignRound> tcamp;
-        traced_rounds = repeatRounds(opt, budget, [&] {
-            if (campaign)
-                tcamp.push_back(runCampaignRound(opt));
-            runAll(tcells, specs);
-        });
         double traced_run_s = 0.0;
         if (campaign) {
-            std::vector<double> wall;
-            for (const CampaignRound& r : tcamp)
-                wall.push_back(r.cases_wall_s);
-            traced_run_s = mean(wall);
+            traced_run_s = sum(caseMsPerCase(tcamp)) / 1e3;
         } else {
-            traced_run_s = sum(centralPerCell(
-                tcells, [](const CellSample& s) { return s.run_s; }));
+            traced_run_s = sum(runPerCell(tcells));
         }
-        // The traced rounds must reproduce every untraced digest.
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            for (const CellSample& s : tcells[i].samples)
-                cells[i].samples.push_back(s);
-        }
-        camp.insert(camp.end(), tcamp.begin(), tcamp.end());
-
         // Standalone layer drivers, fed the first cell's workload.
         const CellSpec& first = specs.front();
         const GeneratorRun gen = runGenerator(
@@ -407,6 +444,10 @@ main(int argc, char** argv)
             c.kind = kind;
             c.channels = 1;
             ctrl[kind] = controllerCost(c, gen.blocks);
+            std::unique_ptr<Workload> wl = first.make_workload();
+            const std::string diff = controllerMismatch(c, *wl);
+            if (!diff.empty())
+                controller_check.push_back(kindKey(kind) + ": " + diff);
         }
         const CellSpec* thy = &first;
         for (const CellSpec& s : specs) {
@@ -488,7 +529,7 @@ main(int argc, char** argv)
              "count"},
             {"workloads.ns_per_op", gen.ns_per_op, "ns"},
             {"workloads.init_s",
-             sum(centralPerCell(cells,
+             sum(fastestPerCell(cells,
                                [](const CellSample& s) { return s.start_s; })),
              "s"},
         };
@@ -527,7 +568,7 @@ main(int argc, char** argv)
                               "ratio"});
         }
         auto cellMs = [&](double (*pick)(const CellSample&)) {
-            return sum(centralPerCell(cells, pick)) * 1e3;
+            return sum(fastestPerCell(cells, pick)) * 1e3;
         };
         layers.push_back(
             {"harness.build_ms",
@@ -541,22 +582,25 @@ main(int argc, char** argv)
             {"harness.dump_stats_ms",
              cellMs([](const CellSample& s) { return s.dump_s; }), "ms"});
 
-        std::vector<double> plan, ch1, ch2;
+        std::vector<double> plan;
+        std::vector<std::vector<double>> ch1, ch2;
         double cases = 0, sites = 0, not_reached = 0, violations = 0;
         for (const CampaignRound& r : camp) {
             for (double s : r.plan_s)
                 plan.push_back(s * 1e3);
-            ch1.insert(ch1.end(), r.case_ms_ch1.begin(), r.case_ms_ch1.end());
-            ch2.insert(ch2.end(), r.case_ms_ch2.begin(), r.case_ms_ch2.end());
+            ch1.push_back(r.case_ms_ch1);
+            ch2.push_back(r.case_ms_ch2);
             cases = static_cast<double>(r.cases);
             sites = static_cast<double>(r.sites.size());
             not_reached += static_cast<double>(r.not_reached);
             violations += static_cast<double>(r.violations);
         }
         layers.push_back(
-            {"fuzz.enumerate_ms", mean(plan), "ms"});
-        layers.push_back({"fuzz.case_ms.ch1", median(ch1), "ms"});
-        layers.push_back({"fuzz.case_ms.ch2", median(ch2), "ms"});
+            {"fuzz.enumerate_ms", minimum(plan), "ms"});
+        layers.push_back(
+            {"fuzz.case_ms.ch1", median(minimumPerOp(ch1)), "ms"});
+        layers.push_back(
+            {"fuzz.case_ms.ch2", median(minimumPerOp(ch2)), "ms"});
         layers.push_back({"fuzz.cases", cases, "count"});
         layers.push_back({"fuzz.sites_reached", sites, "count"});
         layers.push_back({"fuzz.not_reached", not_reached, "count"});
@@ -593,6 +637,16 @@ main(int argc, char** argv)
         }
         layers.push_back({"out.sim_ms", sim_ms, "ms"});
         layers.push_back({"out.nvm_write_mb", nvm_write_mb, "MB"});
+        layers.push_back(
+            {"host.clock_floor_ms", hostClock().floor() * 1e3, "ms"});
+
+        // The traced rounds must reproduce every untraced digest. They
+        // join the ops only now, so every timing above is untraced.
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            for (const CellSample& s : tcells[i].samples)
+                cells[i].samples.push_back(s);
+        }
+        camp.insert(camp.end(), tcamp.begin(), tcamp.end());
     }
 
     Json j;
@@ -604,6 +658,8 @@ main(int argc, char** argv)
     j.boolean("perturb_epoch", opt.perturb_epoch);
     j.num("rounds", rounds);
     j.num("traced_rounds", traced_rounds);
+    j.num("clock_floor_ms", hostClock().floor() * 1e3);
+    j.num("clock_scale", clock_scale);
     j.beginObject("provenance");
     j.str("build_type", PERFBENCH_BUILD_TYPE);
     j.str("opt_flags", PERFBENCH_OPT_FLAGS);
@@ -644,9 +700,13 @@ main(int argc, char** argv)
         for (double s : r.plan_s)
             j.num(s * 1e3);
         j.endArray();
-        j.num("cases_wall_ms", r.cases_wall_s * 1e3);
         j.endObject();
     }
+    j.endArray();
+    // Kinds whose controller driver no longer builds what System does.
+    j.beginArray("controller_check");
+    for (const std::string& m : controller_check)
+        j.str(m);
     j.endArray();
     emitMetrics(j, "end_to_end", e2e);
     emitMetrics(j, "per_layer", layers);

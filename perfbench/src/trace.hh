@@ -6,10 +6,8 @@
  * (never anything inside the simulator). Each span has a name whose
  * first dot-separated component is its layer, a start, an end and a
  * parent. Spans are appended to a vector and written out once, at
- * exit. When tracing is off a Span costs one branch.
- *
- * Nesting is tracked for the calling thread only: spans opened on
- * worker threads must be added after the fact with Tracer::add().
+ * exit. When tracing is off a Span costs one branch. Every span is
+ * opened on the benchmark's one thread, which tracks the nesting.
  */
 
 #ifndef PERFBENCH_TRACE_HH
@@ -57,14 +55,6 @@ class Tracer
     {
         spans_[idx].end = now();
         current_ = spans_[idx].parent;
-    }
-
-    /** Record a finished span under the currently open span. */
-    void
-    add(const char* name, double start, double end)
-    {
-        if (enabled_)
-            spans_.push_back(SpanRecord{name, start, end, current_});
     }
 
     const std::vector<SpanRecord>& spans() const { return spans_; }

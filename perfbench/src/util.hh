@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -29,6 +30,79 @@ now()
     using Clock = std::chrono::steady_clock;
     static const Clock::time_point origin = Clock::now();
     return std::chrono::duration<double>(Clock::now() - origin).count();
+}
+
+/**
+ * Host clock calibration. On a shared virtual machine the core clock
+ * drifts by several percent over tens of seconds, and every host time
+ * drifts with it, even at its fastest. sample() times kPieces short
+ * pieces of one chain of dependent integer operations, whose length
+ * in core cycles is fixed, and keeps each piece's fastest time; floor()
+ * is their sum, the chain's duration at the current clock. scale()
+ * turns a host time measured now into host time at the clock of the
+ * reference host, on which floor() read kReferenceSeconds (README.md).
+ */
+class ClockCalibration
+{
+  public:
+    static constexpr int kPieces = 32;
+    static constexpr std::uint64_t kSteps = 125000;
+    static constexpr double kReferenceSeconds = 0.00925;
+
+    ClockCalibration()
+    {
+        std::fill(std::begin(fastest_), std::end(fastest_), HUGE_VAL);
+    }
+
+    void
+    sample()
+    {
+        double piece[kPieces];
+        std::uint64_t x = 88172645463325252ULL;
+        volatile std::uint64_t sink = 0;
+        for (int p = 0; p < kPieces; ++p) {
+            const double t0 = now();
+            for (std::uint64_t i = 0; i < kSteps; ++i) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+            }
+            sink = x; // the chain completes before the clock is read
+            piece[p] = now() - t0;
+        }
+        (void)sink;
+        for (int p = 0; p < kPieces; ++p)
+            fastest_[p] = std::min(fastest_[p], piece[p]);
+    }
+
+    /** Seconds of the whole chain, each piece at its fastest; 0 before
+     *  the first sample. */
+    double
+    floor() const
+    {
+        double s = 0.0;
+        for (double t : fastest_)
+            s += t;
+        return std::isfinite(s) ? s : 0.0;
+    }
+
+    double
+    scale() const
+    {
+        const double f = floor();
+        return f > 0.0 ? kReferenceSeconds / f : 1.0;
+    }
+
+  private:
+    double fastest_[kPieces];
+};
+
+/** The calibration of this process, sampled before every round. */
+inline ClockCalibration&
+hostClock()
+{
+    static ClockCalibration clock;
+    return clock;
 }
 
 /** Linear-interpolated quantile @p q in [0, 1]; 0 for an empty set. */
@@ -51,21 +125,34 @@ median(const std::vector<double>& v)
 }
 
 /**
- * Arithmetic mean; 0 for an empty set. Host speed on a shared machine
- * drifts between fast and slow phases lasting seconds to minutes. The
- * mean over a run's rounds weighs each phase by its share of the run;
- * a median or trimmed mean snaps to the majority phase, which makes
- * run-to-run spread larger (measured in README.md).
+ * Smallest value; 0 for an empty set. The benchmark's timing estimator:
+ * the simulated work of an op is identical in every round, and on a
+ * shared host other tenants only ever add time to it, in bursts from
+ * well under a second to minutes long. The fastest round is the one
+ * least disturbed. Its run-to-run spread was a third or less of
+ * that of the mean or the median over the same rounds (README.md).
  */
 inline double
-mean(const std::vector<double>& v)
+minimum(const std::vector<double>& v)
 {
-    if (v.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : v)
-        s += x;
-    return s / static_cast<double>(v.size());
+    return v.empty() ? 0.0 : *std::min_element(v.begin(), v.end());
+}
+
+/**
+ * Per-index minimum over @p rows, which all hold the same ops in the
+ * same order (one row per round).
+ */
+inline std::vector<double>
+minimumPerOp(const std::vector<std::vector<double>>& rows)
+{
+    std::vector<double> out;
+    for (const std::vector<double>& row : rows) {
+        if (out.empty())
+            out = row;
+        for (std::size_t i = 0; i < row.size() && i < out.size(); ++i)
+            out[i] = std::min(out[i], row[i]);
+    }
+    return out;
 }
 
 /** Geometric mean of positive values; 0 when any value is not. */
