@@ -1,12 +1,16 @@
 /**
  * @file
- * Shared machinery for the stop-the-world baseline controllers
- * (journaling and shadow paging, paper §5.1).
+ * Shared machinery for the stop-the-world checkpointing controllers:
+ * journaling and shadow paging (paper §5.1), in-cache-line logging and
+ * incremental checkpointing.
  *
- * Both baselines checkpoint with a traditional epoch model (Figure 3a):
- * at each epoch boundary the CPU is paused, volatile state is flushed,
- * the checkpoint is taken to completion, and only then does execution
- * resume. The whole window counts as checkpoint stall time.
+ * All four checkpoint with a traditional epoch model (Figure 3a): at
+ * each epoch boundary the CPU is paused, volatile state is flushed, the
+ * checkpoint is taken to completion, and only then does execution
+ * resume. The whole window counts as checkpoint stall time. Each ends
+ * its checkpoint with the shared commit record (mem/commit_record.hh),
+ * and recovery runs through it here; a backend supplies its record and
+ * its data phases.
  */
 
 #ifndef THYNVM_BASELINES_EPOCH_CONTROLLER_HH
@@ -14,7 +18,9 @@
 
 #include <cstring>
 #include <deque>
+#include <limits>
 
+#include "mem/commit_record.hh"
 #include "mem/controller.hh"
 
 namespace thynvm {
@@ -92,7 +98,60 @@ class EpochController : public MemController
         return recovered_cpu_state_;
     }
 
+    void
+    recover(std::function<void()> done) final
+    {
+        recoverTo(std::numeric_limits<std::uint64_t>::max(),
+                  std::move(done));
+    }
+
+    void
+    recoverTo(std::uint64_t max_epoch, std::function<void()> done) final
+    {
+        RecoveryJoin join(recoveries_, std::move(done));
+        const std::optional<CommitRecord::Committed> committed =
+            commitRecord().recoverTo(max_epoch, join,
+                                     recovered_cpu_state_);
+        epoch_num_ = committed ? committed->hdr.epoch + 1 : 1;
+        rebuild(committed, join);
+        eventq_.scheduleIn(0, join.arrive());
+    }
+
+    std::uint64_t
+    committedEpoch() const final
+    {
+        return commitRecord().committedEpoch();
+    }
+
   protected:
+    /** The backend's commit record. */
+    virtual const CommitRecord& commitRecord() const = 0;
+
+    /**
+     * Subclass hook: rebuild volatile state from the durable image of
+     * @p committed (none: nothing ever committed), tracking timed
+     * recovery traffic with @p join. The CPU state and epoch_num_ are
+     * already restored.
+     */
+    virtual void
+    rebuild(const std::optional<CommitRecord::Committed>& committed,
+            RecoveryJoin& join) = 0;
+
+    /** Stage the CPU state into the CPU area of @p epoch's parity. */
+    void
+    stageCpuState(std::uint64_t epoch)
+    {
+        commitRecord().stageCpuState(epoch & 1, cpu_state_);
+    }
+
+    /** Write the commit header of @p epoch. */
+    void
+    writeCommitHeader(std::uint64_t epoch, std::uint64_t aux = 0)
+    {
+        commitRecord().writeHeader(epoch & 1, epoch, cpu_state_.size(),
+                                   aux);
+    }
+
     /**
      * Subclass hook: take a complete checkpoint (all data durable, a
      * commit point written), then invoke @p done.
@@ -199,6 +258,8 @@ class EpochController : public MemController
     }
 
     Tick epoch_length_;
+    /** The epoch running now; its checkpoint commits this number. */
+    std::uint64_t epoch_num_ = 1;
     bool started_ = false;
     bool halted_ = false;
     bool ckpt_in_progress_ = false;

@@ -18,13 +18,6 @@ constexpr std::uint64_t kIclMagic = 0x49434c4c4f472121ull; // ICLLOG!!
  * block and the inline saved words are unused. */
 constexpr std::uint64_t kFatFlag = 1ull << 8;
 
-struct IclHeader
-{
-    std::uint64_t magic;
-    std::uint64_t epoch;
-    std::uint64_t cpu_len;
-};
-
 /** Log-record field offsets within the 64-byte log block. */
 constexpr std::size_t kRecTag = 0;
 constexpr std::size_t kRecMask = 8;
@@ -57,7 +50,9 @@ IclController::IclController(EventQueue& eq, std::string name,
       cfg_(cfg),
       nvm_dev_(eq, this->name() + ".nvm",
                DeviceParams::nvm(nvmCapacity(cfg)), std::move(nvm_store)),
-      nvm_port_(nvm_dev_)
+      nvm_port_(nvm_dev_),
+      commit_(nvm_port_, kIclMagic, {headerAddr()},
+              {cpuAddr(0), cpuAddr(1)}, cfg.cpu_state_max)
 {
     stats().addScalar("slim_logs", &slim_logs_,
                       "undo records that fit inline in the log block");
@@ -258,16 +253,8 @@ IclController::doCheckpoint(std::function<void()> done)
     // CPU blob. Committing is then just the header: the epoch advance
     // invalidates every live record by tag, nothing is cleaned.
     const std::uint64_t epoch = epoch_num_;
-    std::vector<std::uint8_t> cpu(
-        roundUp(8 + cpu_state_.size(), kBlockSize), 0);
-    const std::uint64_t cpu_len = cpu_state_.size();
-    std::memcpy(cpu.data(), &cpu_len, 8);
-    std::memcpy(cpu.data() + 8, cpu_state_.data(), cpu_state_.size());
     crashPoint("ckpt.cpu_state");
-    for (std::size_t off = 0; off < cpu.size(); off += kBlockSize) {
-        nvm_port_.sendWrite(cpuAddr(epoch & 1) + off, cpu.data() + off,
-                            TrafficSource::Checkpoint);
-    }
+    stageCpuState(epoch);
 
     // Commit header once everything is durable. Commit-gate phase 0
     // interposes here — in a channel group no channel writes its header
@@ -276,14 +263,7 @@ IclController::doCheckpoint(std::function<void()> done)
                                        done = std::move(done)]() mutable {
       commitGate(0, [this, epoch, done = std::move(done)]() mutable {
         crashPoint("ckpt.pre_commit_header");
-        IclHeader hdr{};
-        hdr.magic = kIclMagic;
-        hdr.epoch = epoch;
-        hdr.cpu_len = cpu_state_.size();
-        std::uint8_t hdr_blk[kBlockSize] = {};
-        std::memcpy(hdr_blk, &hdr, sizeof(hdr));
-        nvm_port_.sendWrite(headerAddr(), hdr_blk,
-                            TrafficSource::Checkpoint);
+        writeCommitHeader(epoch);
 
         // Phase 1 gate before the epoch advance: execution (and with it
         // the first destructive home write of the next epoch) must not
@@ -311,9 +291,8 @@ IclController::crash()
 }
 
 void
-IclController::undoEpoch(std::uint64_t target_epoch,
-                         const std::function<void()>& track,
-                         const std::function<void()>& dec)
+IclController::rebuild(const std::optional<CommitRecord::Committed>&,
+                       RecoveryJoin& join)
 {
     // Collect candidate log blocks from the touched ranges (sorted and
     // deduplicated: ranges may overlap and arrive in any order). A
@@ -334,7 +313,7 @@ IclController::undoEpoch(std::uint64_t target_epoch,
     for (const Addr la : logs) {
         std::uint64_t tag = 0;
         nvm_dev_.store().read(la + kRecTag, &tag, 8);
-        if (tag != target_epoch)
+        if (tag != epoch_num_)
             continue;
         std::uint8_t rec[kBlockSize];
         nvm_dev_.store().read(la, rec, kBlockSize);
@@ -343,14 +322,12 @@ IclController::undoEpoch(std::uint64_t target_epoch,
 
         const Addr g = la - kBlockSize;
         std::uint8_t restored[kBlockSize];
-        track();
-        nvm_port_.sendRead(la, TrafficSource::Recovery, dec);
+        nvm_port_.sendRead(la, TrafficSource::Recovery, join.track());
         if (mask & kFatFlag) {
             nvm_dev_.store().read(g + 2 * kBlockSize, restored,
                                   kBlockSize);
-            track();
             nvm_port_.sendRead(g + 2 * kBlockSize, TrafficSource::Recovery,
-                               dec);
+                               join.track());
         } else {
             nvm_dev_.store().read(g, restored, kBlockSize);
             unsigned slot = 0;
@@ -363,127 +340,9 @@ IclController::undoEpoch(std::uint64_t target_epoch,
             }
         }
         ++undone_lines_;
-        track();
-        nvm_port_.sendWrite(g, restored, TrafficSource::Recovery, dec);
+        nvm_port_.sendWrite(g, restored, TrafficSource::Recovery,
+                            join.track());
     }
-}
-
-void
-IclController::recover(std::function<void()> done)
-{
-    IclHeader hdr{};
-    nvm_dev_.store().read(headerAddr(), &hdr, sizeof(hdr));
-
-    auto outstanding = std::make_shared<std::uint64_t>(1);
-    auto fire = std::make_shared<std::function<void()>>(std::move(done));
-    auto dec = [this, outstanding, fire] {
-        if (--*outstanding == 0) {
-            ++recoveries_;
-            auto cb = std::move(*fire);
-            *fire = nullptr;
-            if (cb)
-                cb();
-        }
-    };
-    auto track = [outstanding] { ++*outstanding; };
-
-    if (hdr.magic == kIclMagic) {
-        const unsigned k = static_cast<unsigned>(hdr.epoch & 1);
-        std::uint64_t cpu_len = 0;
-        nvm_dev_.store().read(cpuAddr(k), &cpu_len, 8);
-        panic_if(cpu_len != hdr.cpu_len, "CPU state length mismatch");
-        recovered_cpu_state_.resize(cpu_len);
-        nvm_dev_.store().read(cpuAddr(k) + 8, recovered_cpu_state_.data(),
-                              cpu_len);
-        epoch_num_ = hdr.epoch + 1;
-    } else {
-        recovered_cpu_state_.clear();
-        epoch_num_ = 1;
-    }
-
-    // Roll back the crashed epoch: undo every record it tagged. The
-    // records themselves are never modified, so a second crash during
-    // (or right after) recovery just repeats identical undo writes.
-    undoEpoch(epoch_num_, track, dec);
-
-    eventq_.scheduleIn(0, dec);
-}
-
-std::uint64_t
-IclController::committedEpoch() const
-{
-    IclHeader hdr{};
-    nvm_dev_.store().read(headerAddr(), &hdr, sizeof(hdr));
-    return hdr.magic == kIclMagic ? hdr.epoch : 0;
-}
-
-void
-IclController::recoverTo(std::uint64_t max_epoch,
-                         std::function<void()> done)
-{
-    IclHeader hdr{};
-    nvm_dev_.store().read(headerAddr(), &hdr, sizeof(hdr));
-    const bool valid = hdr.magic == kIclMagic;
-    if (!valid || hdr.epoch <= max_epoch) {
-        recover(std::move(done));
-        return;
-    }
-    // The durable header is one epoch past the recovery target: this
-    // channel committed, but the group's phase-1 barrier proves no
-    // channel resumed execution, so every live record is still tagged
-    // max_epoch + 1 and none was overwritten by a later epoch — the
-    // target image is fully reconstructible by undoing them.
-    panic_if(hdr.epoch > max_epoch + 1,
-             "ICL header epoch %llu too far past recovery target %llu",
-             static_cast<unsigned long long>(hdr.epoch),
-             static_cast<unsigned long long>(max_epoch));
-
-    auto outstanding = std::make_shared<std::uint64_t>(1);
-    auto fire = std::make_shared<std::function<void()>>(std::move(done));
-    auto dec = [this, outstanding, fire] {
-        if (--*outstanding == 0) {
-            ++recoveries_;
-            auto cb = std::move(*fire);
-            *fire = nullptr;
-            if (cb)
-                cb();
-        }
-    };
-    auto track = [outstanding] { ++*outstanding; };
-
-    // Demote the header to the target epoch *before* undoing, and
-    // durably (functional store write): a crash mid-undo then recovers
-    // to the same target through the normal recover() path, repeating
-    // the same idempotent undo writes.
-    IclHeader demoted{};
-    std::uint8_t hdr_blk[kBlockSize] = {};
-    if (max_epoch > 0) {
-        const unsigned k = static_cast<unsigned>(max_epoch & 1);
-        std::uint64_t cpu_len = 0;
-        nvm_dev_.store().read(cpuAddr(k), &cpu_len, 8);
-        panic_if(cpu_len > cfg_.cpu_state_max,
-                 "implausible rolled-back CPU state length");
-        recovered_cpu_state_.resize(cpu_len);
-        nvm_dev_.store().read(cpuAddr(k) + 8, recovered_cpu_state_.data(),
-                              cpu_len);
-        demoted.magic = kIclMagic;
-        demoted.epoch = max_epoch;
-        demoted.cpu_len = cpu_len;
-        epoch_num_ = max_epoch + 1;
-    } else {
-        // Nothing ever committed anywhere: pristine machine.
-        recovered_cpu_state_.clear();
-        epoch_num_ = 1;
-    }
-    std::memcpy(hdr_blk, &demoted, sizeof(demoted));
-    nvm_dev_.store().write(headerAddr(), hdr_blk, kBlockSize);
-    track();
-    nvm_port_.sendWrite(headerAddr(), hdr_blk, TrafficSource::Recovery,
-                        dec);
-
-    undoEpoch(max_epoch + 1, track, dec);
-
-    eventq_.scheduleIn(0, dec);
 }
 
 } // namespace thynvm

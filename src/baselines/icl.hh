@@ -89,10 +89,6 @@ class IclController : public EpochController
         const std::function<void(Addr, std::size_t)>& fn) const override;
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
     void crash() override;
-    void recover(std::function<void()> done) override;
-    void recoverTo(std::uint64_t max_epoch,
-                   std::function<void()> done) override;
-    std::uint64_t committedEpoch() const override;
 
     /** NVM device (home lines + embedded logs + header + CPU areas). */
     MemDevice& nvm() { return nvm_dev_; }
@@ -106,6 +102,19 @@ class IclController : public EpochController
 
   protected:
     void doCheckpoint(std::function<void()> done) override;
+    const CommitRecord& commitRecord() const override { return commit_; }
+    /**
+     * Undo every log record tagged epoch_num_, the epoch recovery rolls
+     * back (functionally via the store plus timed Recovery traffic on
+     * @p join). After a header demoted by recoverTo that epoch had
+     * committed on this channel, but the phase-1 barrier proves no
+     * channel resumed, so none of its records was overwritten.
+     * Idempotent: the records themselves are never modified, so a
+     * second crash during (or right after) recovery just repeats
+     * identical undo writes.
+     */
+    void rebuild(const std::optional<CommitRecord::Committed>& committed,
+                 RecoveryJoin& join) override;
 
   private:
     /** Per-line volatile view of the current epoch's log record. */
@@ -130,23 +139,14 @@ class IclController : public EpochController
     Addr headerAddr() const { return cfg_.phys_size * 4; }
     Addr cpuAddr(unsigned k) const;
 
-    /**
-     * Undo every log record tagged @p target_epoch (functionally via
-     * the store plus timed Recovery traffic, accounted on the
-     * outstanding counter through @p track / @p dec). Idempotent: the
-     * records themselves are never modified.
-     */
-    void undoEpoch(std::uint64_t target_epoch,
-                   const std::function<void()>& track,
-                   const std::function<void()>& dec);
-
     IclConfig cfg_;
     MemDevice nvm_dev_;
     DevicePort nvm_port_;
+    /** One header slot, rewritten in place. */
+    CommitRecord commit_;
 
     /** Lines logged in the current epoch: paddr -> record view. */
     std::unordered_map<Addr, LiveLog> live_;
-    std::uint64_t epoch_num_ = 1;
 
     stats::Scalar slim_logs_;
     stats::Scalar fat_logs_;

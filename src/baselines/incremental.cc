@@ -13,13 +13,6 @@ namespace {
 
 constexpr std::uint64_t kIncMagic = 0x494e4352434b5054ull; // INCRCKPT
 
-struct IncHeader
-{
-    std::uint64_t magic;
-    std::uint64_t epoch;
-    std::uint64_t cpu_len;
-};
-
 } // namespace
 
 std::size_t
@@ -43,6 +36,8 @@ IncrementalController::IncrementalController(
                DeviceParams::nvm(nvmCapacity(cfg)), std::move(nvm_store)),
       dram_port_(dram_dev_),
       nvm_port_(nvm_dev_),
+      commit_(nvm_port_, kIncMagic, {headerAddr(0), headerAddr(1)},
+              {cpuAddr(0), cpuAddr(1)}, cfg.cpu_state_max),
       committed_bit_(cfg.phys_size / kBlockSize, 0)
 {
     stats().addScalar("staged_blocks", &staged_blocks_,
@@ -248,16 +243,8 @@ IncrementalController::doCheckpoint(std::function<void()> done)
     }
 
     // CPU state blob, in this epoch's parity area.
-    std::vector<std::uint8_t> cpu(
-        roundUp(8 + cpu_state_.size(), kBlockSize), 0);
-    const std::uint64_t cpu_len = cpu_state_.size();
-    std::memcpy(cpu.data(), &cpu_len, 8);
-    std::memcpy(cpu.data() + 8, cpu_state_.data(), cpu_state_.size());
     crashPoint("ckpt.cpu_state");
-    for (std::size_t off = 0; off < cpu.size(); off += kBlockSize) {
-        nvm_port_.sendWrite(cpuAddr(epoch & 1) + off, cpu.data() + off,
-                            TrafficSource::Checkpoint);
-    }
+    stageCpuState(epoch);
 
     auto commit_entries = std::make_shared<
         std::vector<std::pair<std::size_t, Addr>>>(std::move(entries));
@@ -271,14 +258,7 @@ IncrementalController::doCheckpoint(std::function<void()> done)
       commitGate(0, [this, epoch, commit_entries,
                      done = std::move(done)]() mutable {
         crashPoint("ckpt.pre_commit_header");
-        IncHeader hdr{};
-        hdr.magic = kIncMagic;
-        hdr.epoch = epoch;
-        hdr.cpu_len = cpu_state_.size();
-        std::uint8_t hdr_blk[kBlockSize] = {};
-        std::memcpy(hdr_blk, &hdr, sizeof(hdr));
-        nvm_port_.sendWrite(headerAddr(epoch & 1), hdr_blk,
-                            TrafficSource::Checkpoint);
+        writeCommitHeader(epoch);
 
         // Phase 1 gate before the slot flip: execution (whose next
         // epoch stages over the slots this header just retired) must
@@ -320,55 +300,24 @@ IncrementalController::crash()
 }
 
 void
-IncrementalController::recover(std::function<void()> done)
+IncrementalController::rebuild(
+    const std::optional<CommitRecord::Committed>& committed,
+    RecoveryJoin& join)
 {
-    IncHeader h0{}, h1{};
-    nvm_dev_.store().read(headerAddr(0), &h0, sizeof(h0));
-    nvm_dev_.store().read(headerAddr(1), &h1, sizeof(h1));
-    const bool v0 = h0.magic == kIncMagic;
-    const bool v1 = h1.magic == kIncMagic;
-
-    auto outstanding = std::make_shared<std::uint64_t>(1);
-    auto fire = std::make_shared<std::function<void()>>(std::move(done));
-    auto dec = [this, outstanding, fire] {
-        if (--*outstanding == 0) {
-            ++recoveries_;
-            auto cb = std::move(*fire);
-            *fire = nullptr;
-            if (cb)
-                cb();
-        }
-    };
-    auto track = [outstanding] { ++*outstanding; };
-
-    if (v0 || v1) {
-        const IncHeader& hdr = (v1 && (!v0 || h1.epoch > h0.epoch)) ? h1
-                                                                    : h0;
-        const unsigned k = static_cast<unsigned>(hdr.epoch & 1);
-
+    if (committed) {
         // Metadata-only recovery: rebuild the slot bitmap from the
         // committed parity area — no data is copied.
+        const unsigned k = committed->parity;
         std::vector<std::uint8_t> bm((numBlocks() + 7) / 8, 0);
         nvm_dev_.store().read(bitmapAddr(k), bm.data(), bm.size());
         for (std::size_t bi = 0; bi < numBlocks(); ++bi)
             committed_bit_[bi] = (bm[bi / 8] >> (bi % 8)) & 1;
         for (Addr off = 0; off < bitmapArea(); off += kBlockSize) {
-            track();
-            nvm_port_.sendRead(bitmapAddr(k) + off,
-                               TrafficSource::Recovery, dec);
+            nvm_port_.sendRead(bitmapAddr(k) + off, TrafficSource::Recovery,
+                               join.track());
         }
-
-        std::uint64_t cpu_len = 0;
-        nvm_dev_.store().read(cpuAddr(k), &cpu_len, 8);
-        panic_if(cpu_len != hdr.cpu_len, "CPU state length mismatch");
-        recovered_cpu_state_.resize(cpu_len);
-        nvm_dev_.store().read(cpuAddr(k) + 8, recovered_cpu_state_.data(),
-                              cpu_len);
-        epoch_num_ = hdr.epoch + 1;
     } else {
         std::fill(committed_bit_.begin(), committed_bit_.end(), 0);
-        recovered_cpu_state_.clear();
-        epoch_num_ = 1;
     }
 
     // The non-authoritative parity area may hold partial staging from
@@ -376,49 +325,6 @@ IncrementalController::recover(std::function<void()> done)
     cur_changed_.clear();
     prev_changed_.clear();
     write_all_ = true;
-
-    eventq_.scheduleIn(0, dec);
-}
-
-std::uint64_t
-IncrementalController::committedEpoch() const
-{
-    IncHeader h0{}, h1{};
-    nvm_dev_.store().read(headerAddr(0), &h0, sizeof(h0));
-    nvm_dev_.store().read(headerAddr(1), &h1, sizeof(h1));
-    std::uint64_t best = 0;
-    if (h0.magic == kIncMagic)
-        best = h0.epoch;
-    if (h1.magic == kIncMagic && h1.epoch > best)
-        best = h1.epoch;
-    return best;
-}
-
-void
-IncrementalController::recoverTo(std::uint64_t max_epoch,
-                                 std::function<void()> done)
-{
-    const std::uint64_t committed = committedEpoch();
-    if (committed <= max_epoch) {
-        recover(std::move(done));
-        return;
-    }
-    // The newest header is one epoch past the recovery target: this
-    // channel committed, but the group's phase-1 barrier proves no
-    // channel resumed, so nothing staged over the target epoch's slots
-    // and its parity areas are intact. Invalidating the stale header
-    // durably (functional store write) makes recover() — now and after
-    // any further crash — land on the target.
-    panic_if(committed > max_epoch + 1,
-             "incremental header epoch %llu too far past recovery "
-             "target %llu",
-             static_cast<unsigned long long>(committed),
-             static_cast<unsigned long long>(max_epoch));
-    const unsigned k = static_cast<unsigned>(committed & 1);
-    std::uint8_t zero_blk[kBlockSize] = {};
-    nvm_dev_.store().write(headerAddr(k), zero_blk, kBlockSize);
-    nvm_port_.sendWrite(headerAddr(k), zero_blk, TrafficSource::Recovery);
-    recover(std::move(done));
 }
 
 } // namespace thynvm

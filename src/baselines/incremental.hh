@@ -89,10 +89,6 @@ class IncrementalController : public EpochController
         const std::function<void(Addr, std::size_t)>& fn) const override;
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
     void crash() override;
-    void recover(std::function<void()> done) override;
-    void recoverTo(std::uint64_t max_epoch,
-                   std::function<void()> done) override;
-    std::uint64_t committedEpoch() const override;
 
     /** DRAM device (dirty-block buffer). */
     MemDevice& dram() { return dram_dev_; }
@@ -109,6 +105,9 @@ class IncrementalController : public EpochController
 
   protected:
     void doCheckpoint(std::function<void()> done) override;
+    const CommitRecord& commitRecord() const override { return commit_; }
+    void rebuild(const std::optional<CommitRecord::Committed>& committed,
+                 RecoveryJoin& join) override;
 
   private:
     std::size_t hardCapacity() const
@@ -143,11 +142,12 @@ class IncrementalController : public EpochController
     MemDevice nvm_dev_;
     DevicePort dram_port_;
     DevicePort nvm_port_;
+    /** A parity pair of header slots. */
+    CommitRecord commit_;
 
     /** physical block address -> DRAM buffer slot. */
     std::unordered_map<Addr, std::size_t> table_;
     std::size_t next_slot_ = 0;
-    std::uint64_t epoch_num_ = 1;
     /** Per-block committed-slot bit (0 = slot A, 1 = slot B). */
     std::vector<std::uint8_t> committed_bit_;
     /**

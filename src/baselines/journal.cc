@@ -13,14 +13,6 @@ namespace {
 
 constexpr std::uint64_t kJournalMagic = 0x4a4f55524e414c21ull; // JOURNAL!
 
-struct JournalHeader
-{
-    std::uint64_t magic;
-    std::uint64_t epoch;
-    std::uint64_t count;
-    std::uint64_t cpu_len;
-};
-
 struct AppliedMarker
 {
     std::uint64_t magic;
@@ -49,7 +41,9 @@ JournalController::JournalController(
       nvm_dev_(eq, this->name() + ".nvm",
                DeviceParams::nvm(nvmCapacity(cfg)), std::move(nvm_store)),
       dram_port_(dram_dev_),
-      nvm_port_(nvm_dev_)
+      nvm_port_(nvm_dev_),
+      commit_(nvm_port_, kJournalMagic, {headerAddr()},
+              {cpuAddr(0), cpuAddr(1)}, cfg.cpu_state_max)
 {
     stats().addScalar("journaled_blocks", &journaled_blocks_,
                       "blocks written to the NVM journal");
@@ -225,20 +219,7 @@ JournalController::doCheckpoint(std::function<void()> done)
     }
 
     const std::uint64_t epoch = epoch_num_++;
-
-    // CPU state blob, in the area of this epoch's parity: the area the
-    // committed header points at stays intact until the new header is
-    // durable.
-    std::vector<std::uint8_t> cpu(roundUp(8 + cpu_state_.size(),
-                                          kBlockSize),
-                                  0);
-    const std::uint64_t cpu_len = cpu_state_.size();
-    std::memcpy(cpu.data(), &cpu_len, 8);
-    std::memcpy(cpu.data() + 8, cpu_state_.data(), cpu_state_.size());
-    for (std::size_t off = 0; off < cpu.size(); off += kBlockSize) {
-        nvm_port_.sendWrite(cpuAddr(epoch & 1) + off, cpu.data() + off,
-                            TrafficSource::Checkpoint);
-    }
+    stageCpuState(epoch);
     auto commit_entries = std::make_shared<
         std::vector<std::pair<std::size_t, Addr>>>(std::move(entries));
 
@@ -250,15 +231,7 @@ JournalController::doCheckpoint(std::function<void()> done)
       commitGate(0, [this, epoch, commit_entries,
                      done = std::move(done)]() mutable {
         crashPoint("ckpt.pre_commit_header");
-        JournalHeader hdr{};
-        hdr.magic = kJournalMagic;
-        hdr.epoch = epoch;
-        hdr.count = commit_entries->size();
-        hdr.cpu_len = cpu_state_.size();
-        std::uint8_t hdr_blk[kBlockSize] = {};
-        std::memcpy(hdr_blk, &hdr, sizeof(hdr));
-        nvm_port_.sendWrite(headerAddr(), hdr_blk,
-                            TrafficSource::Checkpoint);
+        writeCommitHeader(epoch, commit_entries->size());
 
         // Phase 3: apply in place, then retire the journal. Commit-gate
         // phase 1 interposes before the first in-place (destructive)
@@ -315,148 +288,35 @@ JournalController::crash()
 }
 
 void
-JournalController::recover(std::function<void()> done)
+JournalController::rebuild(
+    const std::optional<CommitRecord::Committed>& committed,
+    RecoveryJoin& join)
 {
-    JournalHeader hdr{};
-    nvm_dev_.store().read(headerAddr(), &hdr, sizeof(hdr));
+    if (!committed)
+        return;
     AppliedMarker mk{};
     nvm_dev_.store().read(appliedAddr(), &mk, sizeof(mk));
-
-    auto outstanding = std::make_shared<std::uint64_t>(1);
-    auto fire = std::make_shared<std::function<void()>>(std::move(done));
-    auto dec = [this, outstanding, fire] {
-        if (--*outstanding == 0) {
-            ++recoveries_;
-            auto cb = std::move(*fire);
-            *fire = nullptr;
-            if (cb)
-                cb();
-        }
-    };
-    auto track = [outstanding] { ++*outstanding; };
-
-    if (hdr.magic == kJournalMagic) {
-        // Restore the CPU state of the committed epoch.
-        const unsigned k = static_cast<unsigned>(hdr.epoch & 1);
-        std::uint64_t cpu_len = 0;
-        nvm_dev_.store().read(cpuAddr(k), &cpu_len, 8);
-        panic_if(cpu_len != hdr.cpu_len, "CPU state length mismatch");
-        recovered_cpu_state_.resize(cpu_len);
-        nvm_dev_.store().read(cpuAddr(k) + 8, recovered_cpu_state_.data(),
-                              cpu_len);
-
-        if (mk.magic != kJournalMagic || mk.epoch < hdr.epoch) {
-            // Committed but not applied: redo the journal.
-            for (std::uint64_t i = 0; i < hdr.count; ++i) {
-                Addr paddr = 0;
-                nvm_dev_.store().read(journalMetaAddr() + i * 8, &paddr,
-                                      8);
-                std::uint8_t data[kBlockSize];
-                nvm_dev_.store().read(journalDataAddr(i), data,
-                                      kBlockSize);
-                ++replayed_blocks_;
-
-                track();
-                nvm_port_.sendRead(journalDataAddr(i),
-                                   TrafficSource::Recovery, dec);
-
-                track();
-                nvm_port_.sendWrite(paddr, data, TrafficSource::Recovery,
-                                    dec);
-            }
-            AppliedMarker newmk{kJournalMagic, hdr.epoch};
-            std::uint8_t mk_blk[kBlockSize] = {};
-            std::memcpy(mk_blk, &newmk, sizeof(newmk));
-            track();
-            nvm_port_.sendWrite(appliedAddr(), mk_blk,
-                                TrafficSource::Recovery, dec);
-        }
-        epoch_num_ = hdr.epoch + 1;
-    } else {
-        recovered_cpu_state_.clear();
-        epoch_num_ = 1;
-    }
-
-    eventq_.scheduleIn(0, dec);
-}
-
-std::uint64_t
-JournalController::committedEpoch() const
-{
-    JournalHeader hdr{};
-    nvm_dev_.store().read(headerAddr(), &hdr, sizeof(hdr));
-    return hdr.magic == kJournalMagic ? hdr.epoch : 0;
-}
-
-void
-JournalController::recoverTo(std::uint64_t max_epoch,
-                             std::function<void()> done)
-{
-    JournalHeader hdr{};
-    nvm_dev_.store().read(headerAddr(), &hdr, sizeof(hdr));
-    const bool valid = hdr.magic == kJournalMagic;
-    if (!valid || hdr.epoch <= max_epoch) {
-        recover(std::move(done));
+    if (mk.magic == kJournalMagic && mk.epoch >= committed->hdr.epoch)
         return;
+    // Committed but not applied: redo the journal. (A header demoted
+    // by recoverTo names an epoch whose apply finished: its marker was
+    // durable before the next epoch's header was written.)
+    for (std::uint64_t i = 0; i < committed->hdr.aux; ++i) {
+        Addr paddr = 0;
+        nvm_dev_.store().read(journalMetaAddr() + i * 8, &paddr, 8);
+        std::uint8_t data[kBlockSize];
+        nvm_dev_.store().read(journalDataAddr(i), data, kBlockSize);
+        ++replayed_blocks_;
+        nvm_port_.sendRead(journalDataAddr(i), TrafficSource::Recovery,
+                           join.track());
+        nvm_port_.sendWrite(paddr, data, TrafficSource::Recovery,
+                            join.track());
     }
-    // The durable header is one epoch past the recovery target: this
-    // channel wrote its commit header but the group's phase-1 barrier
-    // proves no channel applied it in place, so Home still holds
-    // exactly the target epoch's image (the journal apply is the only
-    // destructive step). The barrier also bounds the spread to one.
-    panic_if(hdr.epoch > max_epoch + 1,
-             "journal header epoch %llu too far past recovery target "
-             "%llu",
-             static_cast<unsigned long long>(hdr.epoch),
-             static_cast<unsigned long long>(max_epoch));
-
-    auto outstanding = std::make_shared<std::uint64_t>(1);
-    auto fire = std::make_shared<std::function<void()>>(std::move(done));
-    auto dec = [this, outstanding, fire] {
-        if (--*outstanding == 0) {
-            ++recoveries_;
-            auto cb = std::move(*fire);
-            *fire = nullptr;
-            if (cb)
-                cb();
-        }
-    };
-
-    // Demote the stale header to describe the target epoch (count 0:
-    // the target's journal is fully applied), so a later crash before
-    // the next commit recovers the same cut instead of replaying the
-    // abandoned epoch's journal over freshly staged blocks.
-    JournalHeader demoted{};
-    std::uint8_t hdr_blk[kBlockSize] = {};
-    if (max_epoch > 0) {
-        const unsigned k = static_cast<unsigned>(max_epoch & 1);
-        std::uint64_t cpu_len = 0;
-        nvm_dev_.store().read(cpuAddr(k), &cpu_len, 8);
-        panic_if(cpu_len > cfg_.cpu_state_max,
-                 "implausible rolled-back CPU state length");
-        recovered_cpu_state_.resize(cpu_len);
-        nvm_dev_.store().read(cpuAddr(k) + 8, recovered_cpu_state_.data(),
-                              cpu_len);
-        demoted.magic = kJournalMagic;
-        demoted.epoch = max_epoch;
-        demoted.count = 0;
-        demoted.cpu_len = cpu_len;
-        epoch_num_ = max_epoch + 1;
-    } else {
-        // Nothing ever committed anywhere: pristine machine.
-        recovered_cpu_state_.clear();
-        epoch_num_ = 1;
-    }
-    std::memcpy(hdr_blk, &demoted, sizeof(demoted));
-    // Durable immediately (functional store write, so a crash before
-    // the timed write services cannot roll the demotion back), plus the
-    // timed write for the recovery-traffic model.
-    nvm_dev_.store().write(headerAddr(), hdr_blk, kBlockSize);
-    ++*outstanding;
-    nvm_port_.sendWrite(headerAddr(), hdr_blk, TrafficSource::Recovery,
-                        dec);
-
-    eventq_.scheduleIn(0, dec);
+    AppliedMarker newmk{kJournalMagic, committed->hdr.epoch};
+    std::uint8_t mk_blk[kBlockSize] = {};
+    std::memcpy(mk_blk, &newmk, sizeof(newmk));
+    nvm_port_.sendWrite(appliedAddr(), mk_blk, TrafficSource::Recovery,
+                        join.track());
 }
 
 } // namespace thynvm

@@ -84,10 +84,6 @@ class JournalController : public EpochController
         const std::function<void(Addr, std::size_t)>& fn) const override;
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
     void crash() override;
-    void recover(std::function<void()> done) override;
-    void recoverTo(std::uint64_t max_epoch,
-                   std::function<void()> done) override;
-    std::uint64_t committedEpoch() const override;
 
     /** DRAM device (journal buffer). */
     MemDevice& dram() { return dram_dev_; }
@@ -104,6 +100,9 @@ class JournalController : public EpochController
 
   protected:
     void doCheckpoint(std::function<void()> done) override;
+    const CommitRecord& commitRecord() const override { return commit_; }
+    void rebuild(const std::optional<CommitRecord::Committed>& committed,
+                 RecoveryJoin& join) override;
 
   private:
     std::size_t hardCapacity() const
@@ -129,11 +128,12 @@ class JournalController : public EpochController
     MemDevice nvm_dev_;
     DevicePort dram_port_;
     DevicePort nvm_port_;
+    /** One header slot, rewritten in place; aux = journal entries. */
+    CommitRecord commit_;
 
     /** physical block address -> DRAM buffer slot. */
     std::unordered_map<Addr, std::size_t> table_;
     std::size_t next_slot_ = 0;
-    std::uint64_t epoch_num_ = 1;
 
     stats::Scalar journaled_blocks_;
     stats::Scalar applied_blocks_;

@@ -13,13 +13,6 @@ namespace {
 
 constexpr std::uint64_t kShadowMagic = 0x5348414457504721ull; // SHADWPG!
 
-struct ShadowHeader
-{
-    std::uint64_t magic;
-    std::uint64_t epoch;
-    std::uint64_t cpu_len;
-};
-
 } // namespace
 
 ShadowController::ShadowController(
@@ -34,6 +27,8 @@ ShadowController::ShadowController(
                std::move(nvm_store)),
       dram_port_(dram_dev_),
       nvm_port_(nvm_dev_),
+      commit_(nvm_port_, kShadowMagic, {headerAddr(0), headerAddr(1)},
+              {cpuAddr(0), cpuAddr(1)}, cfg.cpu_state_max),
       committed_slot_(numPages(), 0),
       working_nvm_valid_(numPages(), 0)
 {
@@ -302,30 +297,14 @@ ShadowController::doCheckpoint(std::function<void()> done)
                             TrafficSource::Checkpoint);
     }
 
-    std::vector<std::uint8_t> cpu(roundUp(8 + cpu_state_.size(),
-                                          kBlockSize),
-                                  0);
-    const std::uint64_t cpu_len = cpu_state_.size();
-    std::memcpy(cpu.data(), &cpu_len, 8);
-    std::memcpy(cpu.data() + 8, cpu_state_.data(), cpu_state_.size());
-    for (std::size_t off = 0; off < cpu.size(); off += kBlockSize) {
-        nvm_port_.sendWrite(cpuAddr(k) + off, cpu.data() + off,
-                            TrafficSource::Checkpoint);
-    }
+    stageCpuState(epoch_num_);
     crashPoint("ckpt.table_staged");
 
-    nvm_port_.notifyWhenWritesDurable([this, k,
+    nvm_port_.notifyWhenWritesDurable([this,
                                        done = std::move(done)]() mutable {
-      commitGate(0, [this, k, done = std::move(done)]() mutable {
+      commitGate(0, [this, done = std::move(done)]() mutable {
         crashPoint("ckpt.pre_commit_header");
-        ShadowHeader hdr{};
-        hdr.magic = kShadowMagic;
-        hdr.epoch = epoch_num_;
-        hdr.cpu_len = cpu_state_.size();
-        std::uint8_t hdr_blk[kBlockSize] = {};
-        std::memcpy(hdr_blk, &hdr, sizeof(hdr));
-        nvm_port_.sendWrite(headerAddr(k), hdr_blk,
-                            TrafficSource::Checkpoint);
+        writeCommitHeader(epoch_num_);
         nvm_port_.notifyWhenWritesDurable(
             [this, done = std::move(done)]() mutable {
               commitGate(1, [this, done = std::move(done)]() mutable {
@@ -361,100 +340,21 @@ ShadowController::crash()
 }
 
 void
-ShadowController::recover(std::function<void()> done)
+ShadowController::rebuild(
+    const std::optional<CommitRecord::Committed>& committed,
+    RecoveryJoin& join)
 {
-    int best = -1;
-    std::uint64_t best_epoch = 0;
-    std::uint64_t cpu_len = 0;
-    for (unsigned k = 0; k < 2; ++k) {
-        ShadowHeader hdr{};
-        nvm_dev_.store().read(headerAddr(k), &hdr, sizeof(hdr));
-        if (hdr.magic == kShadowMagic &&
-            (best < 0 || hdr.epoch > best_epoch)) {
-            best = static_cast<int>(k);
-            best_epoch = hdr.epoch;
-            cpu_len = hdr.cpu_len;
-        }
+    if (!committed)
+        return;
+    const unsigned k = committed->parity;
+    std::vector<std::uint8_t> table(roundUp(numPages(), kBlockSize));
+    nvm_dev_.store().read(tableAddr(k), table.data(), table.size());
+    for (std::size_t i = 0; i < numPages(); ++i)
+        committed_slot_[i] = table[i] & 1u;
+    for (std::size_t off = 0; off < table.size(); off += kBlockSize) {
+        nvm_port_.sendRead(tableAddr(k) + off, TrafficSource::Recovery,
+                           join.track());
     }
-
-    auto outstanding = std::make_shared<std::uint64_t>(1);
-    auto fire = std::make_shared<std::function<void()>>(std::move(done));
-    auto dec = [this, outstanding, fire] {
-        if (--*outstanding == 0) {
-            ++recoveries_;
-            auto cb = std::move(*fire);
-            *fire = nullptr;
-            if (cb)
-                cb();
-        }
-    };
-
-    if (best >= 0) {
-        const unsigned k = static_cast<unsigned>(best);
-        std::vector<std::uint8_t> table(roundUp(numPages(), kBlockSize));
-        nvm_dev_.store().read(tableAddr(k), table.data(), table.size());
-        for (std::size_t i = 0; i < numPages(); ++i)
-            committed_slot_[i] = table[i] & 1u;
-        for (std::size_t off = 0; off < table.size(); off += kBlockSize) {
-            ++*outstanding;
-            nvm_port_.sendRead(tableAddr(k) + off, TrafficSource::Recovery,
-                               dec);
-        }
-        recovered_cpu_state_.resize(cpu_len);
-        std::uint64_t stored_len = 0;
-        nvm_dev_.store().read(cpuAddr(k), &stored_len, 8);
-        panic_if(stored_len != cpu_len, "CPU state length mismatch");
-        nvm_dev_.store().read(cpuAddr(k) + 8, recovered_cpu_state_.data(),
-                              cpu_len);
-        epoch_num_ = best_epoch + 1;
-    } else {
-        recovered_cpu_state_.clear();
-        epoch_num_ = 1;
-    }
-
-    eventq_.scheduleIn(0, dec);
-}
-
-std::uint64_t
-ShadowController::committedEpoch() const
-{
-    std::uint64_t best = 0;
-    for (unsigned k = 0; k < 2; ++k) {
-        ShadowHeader hdr{};
-        nvm_dev_.store().read(headerAddr(k), &hdr, sizeof(hdr));
-        if (hdr.magic == kShadowMagic && hdr.epoch > best)
-            best = hdr.epoch;
-    }
-    return best;
-}
-
-void
-ShadowController::recoverTo(std::uint64_t max_epoch,
-                            std::function<void()> done)
-{
-    for (unsigned k = 0; k < 2; ++k) {
-        ShadowHeader hdr{};
-        nvm_dev_.store().read(headerAddr(k), &hdr, sizeof(hdr));
-        if (hdr.magic != kShadowMagic || hdr.epoch <= max_epoch)
-            continue;
-        panic_if(hdr.epoch > max_epoch + 1,
-                 "committed epoch beyond the recovery target + 1: the "
-                 "cross-channel commit barrier should bound the spread");
-        // This slot committed past the group minimum. The phase-1
-        // barrier guarantees its slot flip never happened on any
-        // channel, so the other slot's table still describes the target
-        // image and that image's pages were never overwritten.
-        // Invalidate the stale header durably (functional store write
-        // so a crash mid-recovery cannot roll it back) and model the
-        // timed write; otherwise a crash while the epoch is re-executed
-        // and re-staged could resurrect the stale header over a
-        // half-rewritten slot table.
-        std::uint8_t zero_blk[kBlockSize] = {};
-        nvm_dev_.store().write(headerAddr(k), zero_blk, kBlockSize);
-        nvm_port_.sendWrite(headerAddr(k), zero_blk,
-                            TrafficSource::Recovery);
-    }
-    recover(std::move(done));
 }
 
 } // namespace thynvm

@@ -77,10 +77,6 @@ class ShadowController : public EpochController
         const std::function<void(Addr, std::size_t)>& fn) const override;
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
     void crash() override;
-    void recover(std::function<void()> done) override;
-    void recoverTo(std::uint64_t max_epoch,
-                   std::function<void()> done) override;
-    std::uint64_t committedEpoch() const override;
 
     /** DRAM device (page buffer). */
     MemDevice& dram() { return dram_dev_; }
@@ -97,6 +93,9 @@ class ShadowController : public EpochController
 
   protected:
     void doCheckpoint(std::function<void()> done) override;
+    const CommitRecord& commitRecord() const override { return commit_; }
+    void rebuild(const std::optional<CommitRecord::Committed>& committed,
+                 RecoveryJoin& join) override;
 
   private:
     struct Resident
@@ -131,6 +130,8 @@ class ShadowController : public EpochController
     MemDevice nvm_dev_;
     DevicePort dram_port_;
     DevicePort nvm_port_;
+    /** A parity pair of header slots. */
+    CommitRecord commit_;
 
     /** Committed NVM slot per page (0 = home, 1 = shadow). */
     std::vector<std::uint8_t> committed_slot_;
@@ -140,7 +141,6 @@ class ShadowController : public EpochController
     std::unordered_map<Addr, Resident> resident_;
     std::vector<std::size_t> free_slots_;
     std::uint64_t lru_clock_ = 0;
-    std::uint64_t epoch_num_ = 1;
 
     stats::Scalar cow_faults_;
     stats::Scalar evictions_;

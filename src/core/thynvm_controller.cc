@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 namespace thynvm {
@@ -15,15 +16,6 @@ namespace {
 
 /** Magic value identifying a valid backup-slot commit header. */
 constexpr std::uint64_t kBackupMagic = 0x5468794e564d2121ull; // "ThyNVM!!"
-
-/** Commit header stored in the first block of a backup slot. */
-struct BackupHeader
-{
-    std::uint64_t magic;
-    std::uint64_t epoch;
-    std::uint64_t cpu_len;
-    std::uint64_t n_overflow;
-};
 
 } // namespace
 
@@ -38,6 +30,11 @@ ThyNvmController::ThyNvmController(EventQueue& eq, std::string name,
                std::move(nvm_store)),
       dram_port_(dram_dev_),
       nvm_port_(nvm_dev_),
+      commit_(nvm_port_, kBackupMagic,
+              {layout_.backupSlot(0), layout_.backupSlot(1)},
+              {layout_.backupSlot(0) + layout_.cpuAreaOffset(),
+               layout_.backupSlot(1) + layout_.cpuAreaOffset()},
+              cfg.cpu_state_max),
       btt_(cfg.btt_entries),
       ptt_(cfg.ptt_entries),
       epoch_timer_([this] { requestEpochEnd(); }),
@@ -1238,12 +1235,10 @@ ThyNvmController::persistPttAndCpu()
     const Addr slot = layout_.backupSlot(backup_toggle_);
     stageMetadataWrite(slot + layout_.pttAreaOffset(), pttImage());
 
-    // CPU architectural state: [u64 length][blob].
-    std::vector<std::uint8_t> cpu(8 + cpu_state_.size());
-    const std::uint64_t len = cpu_state_.size();
-    std::memcpy(cpu.data(), &len, 8);
-    std::memcpy(cpu.data() + 8, cpu_state_.data(), cpu_state_.size());
-    stageMetadataWrite(slot + layout_.cpuAreaOffset(), cpu);
+    // CPU architectural state, unpadded: the metadata byte count
+    // charges exactly the blob.
+    stageMetadataWrite(commit_.cpuArea(backup_toggle_),
+                       CommitRecord::encodeCpuState(cpu_state_));
 
     // Step 5: wait for every NVM write staged so far to become durable,
     // then write the atomic commit header (paper Figure 6b). On a
@@ -1257,15 +1252,9 @@ void
 ThyNvmController::writeCommitHeader()
 {
     crashPoint("ckpt.pre_commit_header");
-    BackupHeader hdr{};
-    hdr.magic = kBackupMagic;
-    hdr.epoch = epoch_ - 1; // the epoch this checkpoint captured
-    hdr.cpu_len = cpu_state_.size();
-    hdr.n_overflow = overflow_logged_;
-    std::uint8_t block[kBlockSize] = {};
-    std::memcpy(block, &hdr, sizeof(hdr));
-    sendNvmWrite(layout_.backupSlot(backup_toggle_), block,
-                 TrafficSource::Checkpoint);
+    // epoch_ - 1: the epoch this checkpoint captured.
+    commit_.writeHeader(backup_toggle_, epoch_ - 1, cpu_state_.size(),
+                        overflow_logged_);
     // Header-durable edge: cross-channel barrier (commit gate phase 1)
     // before the destructive flip to the new recovery image.
     nvm_port_.notifyWhenWritesDurable(
@@ -1405,49 +1394,30 @@ ThyNvmController::crash()
 void
 ThyNvmController::recover(std::function<void()> done)
 {
-    // 1. Find the latest committed backup slot.
-    int best_slot = -1;
-    std::uint64_t best_epoch = 0;
-    std::uint64_t cpu_len = 0;
-    std::uint64_t n_overflow = 0;
-    for (unsigned k = 0; k < 2; ++k) {
-        BackupHeader hdr{};
-        nvm_dev_.store().read(layout_.backupSlot(k), &hdr, sizeof(hdr));
-        if (hdr.magic == kBackupMagic &&
-            (best_slot < 0 || hdr.epoch > best_epoch)) {
-            best_slot = static_cast<int>(k);
-            best_epoch = hdr.epoch;
-            cpu_len = hdr.cpu_len;
-            n_overflow = hdr.n_overflow;
-        }
-    }
+    recoverTo(std::numeric_limits<std::uint64_t>::max(), std::move(done));
+}
 
-    auto outstanding = std::make_shared<std::uint64_t>(1);
-    auto fire = std::make_shared<std::function<void()>>(std::move(done));
-    auto dec = [this, outstanding, fire] {
-        if (--*outstanding == 0) {
-            ++recoveries_;
-            auto cb = std::move(*fire);
-            *fire = nullptr;
-            if (cb)
-                cb();
-        }
-    };
-    auto track = [outstanding] { ++*outstanding; };
-
-    if (best_slot < 0) {
+void
+ThyNvmController::recoverTo(std::uint64_t max_epoch,
+                            std::function<void()> done)
+{
+    // 1. Find the latest committed backup slot (after rolling back one
+    // that committed past max_epoch) and reload the CPU state.
+    RecoveryJoin join(recoveries_, std::move(done));
+    const std::optional<CommitRecord::Committed> committed =
+        commit_.recoverTo(max_epoch, join, recovered_cpu_state_);
+    if (!committed) {
         // No checkpoint was ever committed: pristine state, all data at
         // home. Nothing to rebuild.
-        recovered_cpu_state_.clear();
         epoch_ = 1;
         backup_toggle_ = 0;
-        eventq_.scheduleIn(0, dec);
+        eventq_.scheduleIn(0, join.arrive());
         return;
     }
+    const unsigned best_slot = committed->parity;
 
-    const Addr slot = layout_.backupSlot(static_cast<unsigned>(best_slot));
-    track();
-    sendTimedRead(false, slot, TrafficSource::Recovery, dec);
+    const Addr slot = layout_.backupSlot(best_slot);
+    sendTimedRead(false, slot, TrafficSource::Recovery, join.track());
 
     // 2. Reload the BTT.
     const Addr btt_off = layout_.bttAreaOffset();
@@ -1464,9 +1434,8 @@ ThyNvmController::recover(std::function<void()> done)
         btt_.at(i).committed = static_cast<CkptRegion>(rec.region);
     }
     for (Addr a = 0; a < btt_img.size(); a += kBlockSize) {
-        track();
         sendTimedRead(false, slot + btt_off + a, TrafficSource::Recovery,
-                      dec);
+                      join.track());
     }
 
     // 3. Reload the PTT and restore page images into DRAM.
@@ -1490,38 +1459,31 @@ ThyNvmController::recover(std::function<void()> done)
                              blk * kBlockSize;
             std::uint8_t data[kBlockSize];
             nvm_dev_.store().read(src, data, kBlockSize);
-            track();
-            sendTimedRead(false, src, TrafficSource::Recovery, dec);
-            track();
+            sendTimedRead(false, src, TrafficSource::Recovery,
+                          join.track());
             sendDramWrite(layout_.dramPageSlot(i) + blk * kBlockSize,
-                          data, TrafficSource::Recovery, dec);
+                          data, TrafficSource::Recovery, join.track());
         }
     }
     for (Addr a = 0; a < ptt_img.size(); a += kBlockSize) {
-        track();
         sendTimedRead(false, slot + ptt_off + a, TrafficSource::Recovery,
-                      dec);
+                      join.track());
     }
 
-    // 4. Reload the CPU architectural state.
-    const Addr cpu_off = layout_.cpuAreaOffset();
-    std::uint64_t stored_len = 0;
-    nvm_dev_.store().read(slot + cpu_off, &stored_len, 8);
-    panic_if(stored_len != cpu_len, "CPU state length mismatch");
-    recovered_cpu_state_.resize(cpu_len);
-    nvm_dev_.store().read(slot + cpu_off + 8, recovered_cpu_state_.data(),
-                          cpu_len);
-    for (Addr a = 0; a < roundUp(8 + cpu_len, kBlockSize);
+    // 4. Timed reads of the CPU architectural state (restored in 1).
+    const Addr cpu_area = commit_.cpuArea(best_slot);
+    for (Addr a = 0; a < roundUp(8 + recovered_cpu_state_.size(),
+                                 kBlockSize);
          a += kBlockSize) {
-        track();
-        sendTimedRead(false, slot + cpu_off + a, TrafficSource::Recovery,
-                      dec);
+        sendTimedRead(false, cpu_area + a, TrafficSource::Recovery,
+                      join.track());
     }
 
     // 5. Rebuild the overflow buffer from the committed live-slot
     // bitmap and log. Live slots keep their indices; the freshly
     // chosen backup area holds their current data, so only the other
     // area needs rewriting on the next log.
+    const std::uint64_t n_overflow = committed->hdr.aux;
     panic_if(n_overflow > cfg_.overflow_entries,
              "corrupt overflow log length");
     std::vector<std::uint8_t> bitmap(
@@ -1529,9 +1491,8 @@ ThyNvmController::recover(std::function<void()> done)
     nvm_dev_.store().read(slot + layout_.overflowBitmapOffset(),
                           bitmap.data(), bitmap.size());
     for (Addr a = 0; a < bitmap.size(); a += kBlockSize) {
-        track();
         sendTimedRead(false, slot + layout_.overflowBitmapOffset() + a,
-                      TrafficSource::Recovery, dec);
+                      TrafficSource::Recovery, join.track());
     }
     overflow_free_.clear();
     std::uint64_t live = 0;
@@ -1551,66 +1512,27 @@ ThyNvmController::recover(std::function<void()> done)
         const Addr src = slot + layout_.overflowDataOffset() +
                          ovslot * kBlockSize;
         nvm_dev_.store().read(src, data, kBlockSize);
-        track();
-        sendTimedRead(false, src, TrafficSource::Recovery, dec);
+        sendTimedRead(false, src, TrafficSource::Recovery, join.track());
 
         overflow_map_.emplace(block_paddr, ovslot);
         overflow_slot_addr_[ovslot] = block_paddr;
         overflow_in_last_log_[ovslot] = 1;
-        overflow_dirty_[static_cast<unsigned>(best_slot)][ovslot] = 0;
-        overflow_dirty_[static_cast<unsigned>(best_slot) ^ 1u][ovslot] =
-            1;
-        track();
+        overflow_dirty_[best_slot][ovslot] = 0;
+        overflow_dirty_[best_slot ^ 1u][ovslot] = 1;
         sendDramWrite(layout_.dramOverflowSlot(ovslot), data,
-                      TrafficSource::Recovery, dec);
+                      TrafficSource::Recovery, join.track());
     }
     panic_if(live != n_overflow, "overflow bitmap/count mismatch");
 
-    epoch_ = best_epoch + 1;
-    backup_toggle_ = static_cast<unsigned>(best_slot) ^ 1u;
-    eventq_.scheduleIn(0, dec); // balance the initial count of one
+    epoch_ = committed->hdr.epoch + 1;
+    backup_toggle_ = best_slot ^ 1u;
+    eventq_.scheduleIn(0, join.arrive()); // balance the initial count
 }
 
 std::uint64_t
 ThyNvmController::committedEpoch() const
 {
-    std::uint64_t best = 0;
-    for (unsigned k = 0; k < 2; ++k) {
-        BackupHeader hdr{};
-        nvm_dev_.store().read(layout_.backupSlot(k), &hdr, sizeof(hdr));
-        if (hdr.magic == kBackupMagic && hdr.epoch > best)
-            best = hdr.epoch;
-    }
-    return best;
-}
-
-void
-ThyNvmController::recoverTo(std::uint64_t max_epoch,
-                            std::function<void()> done)
-{
-    for (unsigned k = 0; k < 2; ++k) {
-        BackupHeader hdr{};
-        nvm_dev_.store().read(layout_.backupSlot(k), &hdr, sizeof(hdr));
-        if (hdr.magic != kBackupMagic || hdr.epoch <= max_epoch)
-            continue;
-        panic_if(hdr.epoch > max_epoch + 1,
-                 "committed epoch beyond the recovery target + 1: the "
-                 "cross-channel commit barrier should bound the spread");
-        // This slot committed past the group minimum. The phase-1
-        // barrier guarantees the checkpoint never flipped, so the other
-        // slot still holds the target image intact. Invalidate the
-        // stale header durably (functional store write so it cannot be
-        // rolled back by a crash mid-recovery) and model the timed
-        // write; otherwise a crash while the epoch is re-executed and
-        // re-staged into this slot could resurrect the stale header
-        // over a half-rewritten image.
-        std::uint8_t zero_blk[kBlockSize] = {};
-        nvm_dev_.store().write(layout_.backupSlot(k), zero_blk,
-                               kBlockSize);
-        sendNvmWrite(layout_.backupSlot(k), zero_blk,
-                     TrafficSource::Recovery);
-    }
-    recover(std::move(done));
+    return commit_.committedEpoch();
 }
 
 } // namespace thynvm

@@ -36,6 +36,7 @@
 
 #include "core/config.hh"
 #include "core/tables.hh"
+#include "mem/commit_record.hh"
 #include "mem/controller.hh"
 #include "mem/port.hh"
 
@@ -255,6 +256,9 @@ class ThyNvmController : public MemController
     MemDevice nvm_dev_;
     DevicePort dram_port_;
     DevicePort nvm_port_;
+    /** Backup-slot headers: a parity pair indexed by backup_toggle_;
+     *  aux = logged overflow slots. */
+    CommitRecord commit_;
     Btt btt_;
     Ptt ptt_;
 

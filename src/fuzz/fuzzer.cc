@@ -59,37 +59,6 @@ applyStores(std::vector<std::uint8_t>& image,
 // Repro strings.
 // ---------------------------------------------------------------------
 
-const char*
-systemToken(SystemKind kind)
-{
-    switch (kind) {
-      case SystemKind::IdealDram: return "ideal-dram";
-      case SystemKind::IdealNvm: return "ideal-nvm";
-      case SystemKind::Journal: return "journal";
-      case SystemKind::Shadow: return "shadow";
-      case SystemKind::ThyNvm: return "thynvm";
-      case SystemKind::Icl: return "icl";
-      case SystemKind::Incremental: return "incremental";
-    }
-    return "unknown";
-}
-
-namespace {
-
-bool
-systemFromToken(const std::string& tok, SystemKind& out)
-{
-    for (SystemKind k : kAllSystemKinds) {
-        if (tok == systemToken(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-} // namespace
-
 std::string
 formatRepro(const FuzzCase& c)
 {
@@ -131,7 +100,7 @@ parseRepro(const std::string& repro, FuzzCase& out)
             } else if (key == "wl") {
                 c.workload = val;
             } else if (key == "sys") {
-                if (!systemFromToken(val, c.system))
+                if (!systemKindFromToken(val, c.system))
                     return false;
             } else if (key == "site") {
                 c.site = val;

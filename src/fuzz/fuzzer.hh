@@ -150,8 +150,8 @@ std::string formatRepro(const FuzzCase& c);
 /** Parse formatRepro() output. @return false on malformed input. */
 bool parseRepro(const std::string& repro, FuzzCase& out);
 
-/** Short system name used in repro strings ("thynvm", "journal", ...). */
-const char* systemToken(SystemKind kind);
+/** Repro strings name systems by the shared kind token. */
+using thynvm::systemToken;
 
 /**
  * Simulation sizing shared by every case of a campaign. Small enough

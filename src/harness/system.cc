@@ -29,6 +29,33 @@ systemKindName(SystemKind kind)
     return "unknown";
 }
 
+const char*
+systemToken(SystemKind kind)
+{
+    switch (kind) {
+      case SystemKind::IdealDram: return "ideal-dram";
+      case SystemKind::IdealNvm: return "ideal-nvm";
+      case SystemKind::Journal: return "journal";
+      case SystemKind::Shadow: return "shadow";
+      case SystemKind::ThyNvm: return "thynvm";
+      case SystemKind::Icl: return "icl";
+      case SystemKind::Incremental: return "incremental";
+    }
+    return "unknown";
+}
+
+bool
+systemKindFromToken(const std::string& tok, SystemKind& out)
+{
+    for (SystemKind k : kAllSystemKinds) {
+        if (tok == systemToken(k)) {
+            out = k;
+            return true;
+        }
+    }
+    return false;
+}
+
 System::System(const SystemConfig& cfg, Workload& workload,
                std::shared_ptr<BackingStore> nvm_store)
     : cfg_(cfg), workload_(workload)

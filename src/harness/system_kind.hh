@@ -9,6 +9,8 @@
 #ifndef THYNVM_HARNESS_SYSTEM_KIND_HH
 #define THYNVM_HARNESS_SYSTEM_KIND_HH
 
+#include <string>
+
 namespace thynvm {
 
 /**
@@ -41,6 +43,15 @@ constexpr SystemKind kAllSystemKinds[] = {
 
 /** Human-readable system name as used in the paper's figures. */
 const char* systemKindName(SystemKind kind);
+
+/**
+ * Short command-line / repro-string token ("thynvm", "journal",
+ * "ideal-dram", ...), one per kind.
+ */
+const char* systemToken(SystemKind kind);
+
+/** Parse a systemToken(). @return false if @p tok names no kind. */
+bool systemKindFromToken(const std::string& tok, SystemKind& out);
 
 /** True for kinds with epochs/checkpoints (everything but the ideals). */
 constexpr bool

@@ -283,16 +283,6 @@ MemDevice::enqueueWrite(Addr addr, const std::uint8_t* data,
     return true;
 }
 
-bool
-MemDevice::enqueue(DeviceRequest req)
-{
-    if (req.is_write) {
-        return enqueueWrite(req.addr, req.data.data(), req.source,
-                            std::move(req.on_complete));
-    }
-    return enqueueRead(req.addr, req.source, std::move(req.on_complete));
-}
-
 void
 MemDevice::notifyWhenAccepting(bool is_write, std::function<void()> cb)
 {

@@ -113,9 +113,6 @@ class MemDevice : public SimObject
                       TrafficSource source,
                       std::function<void()> on_complete = {});
 
-    /** Legacy request-struct enqueue; forwards to the zero-copy API. */
-    bool enqueue(DeviceRequest req);
-
     /** Register a one-shot callback for when queue space frees up. */
     void notifyWhenAccepting(bool is_write, std::function<void()> cb);
 

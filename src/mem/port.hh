@@ -91,19 +91,6 @@ class DevicePort
         tryIssueWrites();
     }
 
-    /** Legacy request-struct interface; forwards to sendRead/sendWrite. */
-    void
-    send(DeviceRequest req, std::function<void()> on_accept = {})
-    {
-        if (req.is_write) {
-            sendWrite(req.addr, req.data.data(), req.source,
-                      std::move(req.on_complete), std::move(on_accept));
-        } else {
-            sendRead(req.addr, req.source, std::move(req.on_complete),
-                     std::move(on_accept));
-        }
-    }
-
     /**
      * Functional read that observes staged writes still in the write
      * FIFO (newest match wins) before falling back to the backing

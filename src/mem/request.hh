@@ -1,14 +1,13 @@
 /**
  * @file
- * Request types exchanged between memory controllers and devices.
+ * Traffic attribution for requests exchanged between memory controllers
+ * and devices.
  */
 
 #ifndef THYNVM_MEM_REQUEST_HH
 #define THYNVM_MEM_REQUEST_HH
 
-#include <array>
 #include <cstdint>
-#include <functional>
 
 #include "common/types.hh"
 
@@ -34,27 +33,6 @@ constexpr std::size_t kNumTrafficSources = 5;
 
 /** Human-readable name of a traffic source. */
 const char* trafficSourceName(TrafficSource s);
-
-/**
- * A block-granularity request at a memory device.
- *
- * Write data is applied to the device's backing store when the request is
- * enqueued; @p on_complete fires when the device finishes the timed
- * service of the request (data transfer done).
- */
-struct DeviceRequest
-{
-    /** Device-local byte address; must be block aligned. */
-    Addr addr = 0;
-    /** True for a write, false for a read. */
-    bool is_write = false;
-    /** Attribution for the traffic-breakdown statistics. */
-    TrafficSource source = TrafficSource::DemandRead;
-    /** Write payload (ignored for reads). */
-    std::array<std::uint8_t, kBlockSize> data{};
-    /** Completion callback; may be empty for posted writes. */
-    std::function<void()> on_complete;
-};
 
 } // namespace thynvm
 

@@ -19,6 +19,8 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <set>
+#include <tuple>
 
 #include "baselines/journal.hh"
 #include "baselines/shadow.hh"
@@ -384,15 +386,51 @@ captureSystemImage(System& sys, std::size_t phys_size)
  *    recovered image equals the golden replay of exactly that prefix.
  *  - Liveness: the third life resumes and runs to completion, and its
  *    final image equals the recovered image plus everything it stored.
+ *
+ * Checkpointing kinds also run at two channels, where a crash between
+ * the channels' commit headers leaves one channel an epoch ahead, so
+ * recovery rolls its commit record back (recoverTo) and the re-crash
+ * checks that the rollback is itself durable.
  */
+struct SweepPlan
+{
+    std::string site; //!< empty: tick-based mid-run crash
+    std::uint64_t hit = 0;
+    Tick delta = 0;
+};
+
+/**
+ * Crash tick of @p plan on a multi-channel machine. The sharded kernel
+ * cannot be single-stepped against a fired() poll, so an identical
+ * armed run is profiled to completion instead.
+ */
+Tick
+profileCrashTick(const fuzz::FuzzerConfig& fc, SystemKind kind,
+                 unsigned channels, std::uint64_t seed,
+                 const SweepPlan& plan)
+{
+    CrashPointRegistry reg;
+    reg.arm(plan.site, plan.hit, plan.delta);
+    MicroWorkload inner(fuzz::microParams(fc, seed, "rand"));
+    fuzz::RecordingWorkload wl(inner);
+    SystemConfig cfg = fuzz::makeSystemConfig(fc, kind, true, channels);
+    cfg.crash_points = &reg;
+    System sys(cfg, wl);
+    sys.start();
+    sys.run(fc.run_limit);
+    EXPECT_TRUE(reg.fired())
+        << plan.site << " did not fire on the armed profile run";
+    return reg.crashTick();
+}
+
 class BackendCrashSweepTest
-    : public ::testing::TestWithParam<SystemKind>
+    : public ::testing::TestWithParam<std::tuple<SystemKind, unsigned>>
 {};
 
 TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
 {
     using namespace fuzz;
-    const SystemKind kind = GetParam();
+    const auto [kind, channels] = GetParam();
     const FuzzerConfig fc;
     const std::uint64_t seed =
         test::loggedSeed("crash_property.sweep", 11);
@@ -400,30 +438,53 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
     // Crash plans: every site the backend announces on this run, at
     // its last hit. The ideal kinds announce no sites (no checkpoint
     // machinery) and get one mid-run crash instead.
-    std::vector<std::pair<std::string, std::uint64_t>> plans;
-    for (const auto& [site, hits] :
-         enumerateSites(fc, seed, "rand", kind, true, 1)) {
-        plans.emplace_back(site, hits);
-    }
+    const std::map<std::string, std::uint64_t> sites =
+        enumerateSites(fc, seed, "rand", kind, true, channels);
+    std::vector<SweepPlan> plans;
+    for (const auto& [site, hits] : sites)
+        plans.push_back({site, hits, 0});
     if (isCheckpointingKind(kind)) {
         ASSERT_GE(plans.size(), 5u)
             << systemToken(kind) << " announces too few crash sites";
     } else {
         ASSERT_TRUE(plans.empty());
-        plans.emplace_back(std::string(), 0); // tick-based crash
+        plans.push_back({}); // tick-based crash
+    }
+    if (channels > 1) {
+        // No site sits between the channels' commit headers, so also
+        // crash at evenly spaced ticks from a phase-0 barrier (headers
+        // not yet written) to its phase-1 barrier (all durable), in the
+        // first, middle and last epoch. Where one channel's header
+        // lands first, some of these leave it an epoch ahead.
+        const std::uint64_t n = sites.at("group.all_staged");
+        for (std::uint64_t hit : std::set<std::uint64_t>{1, (n + 1) / 2, n}) {
+            const Tick staged = profileCrashTick(
+                fc, kind, channels, seed, {"group.all_staged", hit, 0});
+            const Tick committed = profileCrashTick(
+                fc, kind, channels, seed, {"group.all_committed", hit, 0});
+            ASSERT_LT(staged, committed);
+            constexpr unsigned kSteps = 8;
+            for (unsigned i = 1; i < kSteps; ++i) {
+                plans.push_back({"group.all_staged", hit,
+                                 (committed - staged) * i / kSteps});
+            }
+        }
     }
 
-    for (const auto& [site, hit] : plans) {
+    for (const SweepPlan& plan : plans) {
+        const std::string& site = plan.site;
         SCOPED_TRACE(std::string(systemToken(kind)) + " site=" +
-                     (site.empty() ? "<mid-run>" : site));
+                     (site.empty() ? "<mid-run>" : site) +
+                     " hit=" + std::to_string(plan.hit) +
+                     " delta=" + std::to_string(plan.delta));
 
         // Life 1: run into the crash.
         MicroWorkload inner1(microParams(fc, seed, "rand"));
         RecordingWorkload wl1(inner1);
-        SystemConfig cfg = makeSystemConfig(fc, kind, true, 1);
+        SystemConfig cfg = makeSystemConfig(fc, kind, true, channels);
         CrashPointRegistry reg;
         if (!site.empty()) {
-            reg.arm(site, hit, 0);
+            reg.arm(site, plan.hit, plan.delta);
             cfg.crash_points = &reg;
         }
         System sys(cfg, wl1);
@@ -431,7 +492,9 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
         const std::vector<std::uint8_t> base =
             captureSystemImage(sys, fc.phys_size);
         EventQueue& eq = sys.eventq();
-        if (!site.empty()) {
+        if (!site.empty() && channels > 1) {
+            sys.runTo(profileCrashTick(fc, kind, channels, seed, plan));
+        } else if (!site.empty()) {
             while (!sys.finished() && !reg.fired() && !eq.empty() &&
                    eq.now() < fc.run_limit) {
                 eq.step();
@@ -455,7 +518,7 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
         // single new instruction retires.
         MicroWorkload inner2(microParams(fc, seed, "rand"));
         RecordingWorkload wl2(inner2);
-        System sys2(makeSystemConfig(fc, kind, true, 1), wl2,
+        System sys2(makeSystemConfig(fc, kind, true, channels), wl2,
                     std::move(nvm));
         sys2.recoverAndResume();
         const std::uint64_t restored2 =
@@ -467,7 +530,7 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
         // Life 3: recover from the re-crashed image.
         MicroWorkload inner3(microParams(fc, seed, "rand"));
         RecordingWorkload wl3(inner3);
-        System sys3(makeSystemConfig(fc, kind, true, 1), wl3,
+        System sys3(makeSystemConfig(fc, kind, true, channels), wl3,
                     std::move(nvm2));
         sys3.recoverAndResume();
         const std::uint64_t restored3 =
@@ -508,15 +571,29 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
     }
 }
 
+/** Every kind at one channel, the checkpointing kinds also at two. */
+std::vector<std::tuple<SystemKind, unsigned>>
+sweepParams()
+{
+    std::vector<std::tuple<SystemKind, unsigned>> params;
+    for (unsigned channels : {1u, 2u}) {
+        for (SystemKind kind : kAllSystemKinds) {
+            if (channels == 1 || isCheckpointingKind(kind))
+                params.emplace_back(kind, channels);
+        }
+    }
+    return params;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    AllBackends, BackendCrashSweepTest,
-    ::testing::ValuesIn(std::vector<SystemKind>(
-        std::begin(kAllSystemKinds), std::end(kAllSystemKinds))),
-    [](const ::testing::TestParamInfo<SystemKind>& info) {
+    AllBackends, BackendCrashSweepTest, ::testing::ValuesIn(sweepParams()),
+    [](const ::testing::TestParamInfo<std::tuple<SystemKind, unsigned>>&
+           info) {
         // Token with gtest-legal characters only ("ideal-dram" has '-').
-        std::string tok = fuzz::systemToken(info.param);
+        const unsigned channels = std::get<1>(info.param);
+        std::string tok = fuzz::systemToken(std::get<0>(info.param));
         tok.erase(std::remove(tok.begin(), tok.end(), '-'), tok.end());
-        return tok;
+        return channels == 1 ? tok : tok + "_ch" + std::to_string(channels);
     });
 
 } // namespace

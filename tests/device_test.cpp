@@ -20,25 +20,22 @@ smallNvm()
     return p;
 }
 
+/** Write payload for tests that only care about timing. */
+const std::array<std::uint8_t, kBlockSize> kZeros{};
+
 TEST(DeviceTest, WriteThenReadReturnsData)
 {
     EventQueue eq;
     MemDevice dev(eq, "dev", smallNvm());
 
     auto data = patternBlock(1);
-    DeviceRequest wr;
-    wr.addr = 128;
-    wr.is_write = true;
-    std::memcpy(wr.data.data(), data.data(), kBlockSize);
-    ASSERT_TRUE(dev.enqueue(std::move(wr)));
+    ASSERT_TRUE(dev.enqueueWrite(128, data.data(),
+                                 TrafficSource::DemandRead));
 
     std::array<std::uint8_t, kBlockSize> out{};
     bool done = false;
-    DeviceRequest rd;
-    rd.addr = 128;
-    rd.is_write = false;
-    rd.on_complete = [&] { done = true; };
-    ASSERT_TRUE(dev.enqueue(std::move(rd)));
+    ASSERT_TRUE(dev.enqueueRead(128, TrafficSource::DemandRead,
+                                [&] { done = true; }));
     eq.runUntil([&] { return done; });
     dev.store().read(128, out.data(), kBlockSize);
     EXPECT_EQ(out, data);
@@ -49,11 +46,7 @@ TEST(DeviceTest, FunctionalWriteVisibleImmediately)
     EventQueue eq;
     MemDevice dev(eq, "dev", smallNvm());
     auto data = patternBlock(2);
-    DeviceRequest wr;
-    wr.addr = 0;
-    wr.is_write = true;
-    std::memcpy(wr.data.data(), data.data(), kBlockSize);
-    ASSERT_TRUE(dev.enqueue(std::move(wr)));
+    ASSERT_TRUE(dev.enqueueWrite(0, data.data(), TrafficSource::DemandRead));
     // The architectural view updates at enqueue, before service.
     std::array<std::uint8_t, kBlockSize> out{};
     dev.store().read(0, out.data(), kBlockSize);
@@ -66,27 +59,20 @@ TEST(DeviceTest, RowHitFasterThanMiss)
     MemDevice dev(eq, "dev", smallNvm());
 
     Tick t0 = 0, t1 = 0, t2 = 0;
-    DeviceRequest r1;
-    r1.addr = 0;
-    r1.on_complete = [&] { t0 = eq.now(); };
-    dev.enqueue(std::move(r1));
+    dev.enqueueRead(0, TrafficSource::DemandRead, [&] { t0 = eq.now(); });
     eq.run();
 
     // Same row: hit.
-    DeviceRequest r2;
-    r2.addr = 64;
-    r2.on_complete = [&] { t1 = eq.now(); };
     const Tick start1 = eq.now();
-    dev.enqueue(std::move(r2));
+    dev.enqueueRead(64, TrafficSource::DemandRead,
+                    [&] { t1 = eq.now(); });
     eq.run();
 
     // Different row, same bank (banks stride by row): miss.
     const auto& p = dev.params();
-    DeviceRequest r3;
-    r3.addr = p.row_size * p.banks; // same bank 0, different row
-    r3.on_complete = [&] { t2 = eq.now(); };
     const Tick start2 = eq.now();
-    dev.enqueue(std::move(r3));
+    dev.enqueueRead(p.row_size * p.banks, // same bank 0, different row
+                    TrafficSource::DemandRead, [&] { t2 = eq.now(); });
     eq.run();
 
     const Tick hit_latency = t1 - start1;
@@ -103,19 +89,14 @@ TEST(DeviceTest, DirtyMissCostsMore)
     const auto& p = dev.params();
 
     // Open row 0 in bank 0 with a write -> dirty row buffer.
-    DeviceRequest w;
-    w.addr = 0;
-    w.is_write = true;
-    dev.enqueue(std::move(w));
+    dev.enqueueWrite(0, kZeros.data(), TrafficSource::DemandRead);
     eq.run();
 
     // Read a different row in the same bank: dirty miss.
     Tick done_at = 0;
-    DeviceRequest r;
-    r.addr = p.row_size * p.banks;
-    r.on_complete = [&] { done_at = eq.now(); };
     const Tick start = eq.now();
-    dev.enqueue(std::move(r));
+    dev.enqueueRead(p.row_size * p.banks, TrafficSource::DemandRead,
+                    [&] { done_at = eq.now(); });
     eq.run();
     EXPECT_GE(done_at - start, p.row_miss_dirty_latency);
     EXPECT_EQ(dev.stats().value("row_misses_dirty"), 1.0);
@@ -131,10 +112,8 @@ TEST(DeviceTest, BankParallelismBeatsSerialization)
     // same bank serialize.
     unsigned done = 0;
     for (unsigned i = 0; i < 2; ++i) {
-        DeviceRequest r;
-        r.addr = i * p.row_size; // different banks
-        r.on_complete = [&] { ++done; };
-        dev.enqueue(std::move(r));
+        dev.enqueueRead(i * p.row_size, // different banks
+                        TrafficSource::DemandRead, [&] { ++done; });
     }
     const Tick start = eq.now();
     eq.runUntil([&] { return done == 2; });
@@ -142,11 +121,9 @@ TEST(DeviceTest, BankParallelismBeatsSerialization)
 
     done = 0;
     for (unsigned i = 0; i < 2; ++i) {
-        DeviceRequest r;
         // Same bank, alternating rows: every access misses.
-        r.addr = i * p.row_size * p.banks + 2 * p.row_size * p.banks;
-        r.on_complete = [&] { ++done; };
-        dev.enqueue(std::move(r));
+        dev.enqueueRead(i * p.row_size * p.banks + 2 * p.row_size * p.banks,
+                        TrafficSource::DemandRead, [&] { ++done; });
     }
     const Tick start2 = eq.now();
     eq.runUntil([&] { return done == 2; });
@@ -161,14 +138,10 @@ TEST(DeviceTest, QueueCapacityEnforced)
     auto p = smallNvm();
     p.read_queue_capacity = 2;
     MemDevice dev(eq, "dev", p);
-    DeviceRequest a, b, c;
-    a.addr = 0;
-    b.addr = 64;
-    c.addr = 128;
-    EXPECT_TRUE(dev.enqueue(std::move(a)));
-    EXPECT_TRUE(dev.enqueue(std::move(b)));
+    EXPECT_TRUE(dev.enqueueRead(0, TrafficSource::DemandRead));
+    EXPECT_TRUE(dev.enqueueRead(64, TrafficSource::DemandRead));
     EXPECT_FALSE(dev.canAccept(false));
-    EXPECT_FALSE(dev.enqueue(std::move(c)));
+    EXPECT_FALSE(dev.enqueueRead(128, TrafficSource::DemandRead));
     eq.run();
     EXPECT_TRUE(dev.canAccept(false));
 }
@@ -179,20 +152,12 @@ TEST(DeviceTest, CrashRollsBackUnservicedWrites)
     MemDevice dev(eq, "dev", smallNvm());
 
     auto first = patternBlock(10);
-    DeviceRequest w1;
-    w1.addr = 256;
-    w1.is_write = true;
-    std::memcpy(w1.data.data(), first.data(), kBlockSize);
-    dev.enqueue(std::move(w1));
-    eq.run(); // w1 serviced -> durable
+    dev.enqueueWrite(256, first.data(), TrafficSource::DemandRead);
+    eq.run(); // first serviced -> durable
 
     auto second = patternBlock(11);
-    DeviceRequest w2;
-    w2.addr = 256;
-    w2.is_write = true;
-    std::memcpy(w2.data.data(), second.data(), kBlockSize);
-    dev.enqueue(std::move(w2));
-    // No eq.run(): w2 is still queued when power fails.
+    dev.enqueueWrite(256, second.data(), TrafficSource::DemandRead);
+    // No eq.run(): the second write is still queued when power fails.
     dev.crash();
 
     std::array<std::uint8_t, kBlockSize> out{};
@@ -208,13 +173,8 @@ TEST(DeviceTest, CrashRollsBackChainInReverseOrder)
     auto a = patternBlock(20);
     auto b = patternBlock(21);
     auto c = patternBlock(22);
-    for (const auto* d : {&a, &b, &c}) {
-        DeviceRequest w;
-        w.addr = 512;
-        w.is_write = true;
-        std::memcpy(w.data.data(), d->data(), kBlockSize);
-        dev.enqueue(std::move(w));
-    }
+    for (const auto* d : {&a, &b, &c})
+        dev.enqueueWrite(512, d->data(), TrafficSource::DemandRead);
     dev.crash();
     std::array<std::uint8_t, kBlockSize> out{};
     dev.store().read(512, out.data(), kBlockSize);
@@ -228,10 +188,7 @@ TEST(DeviceTest, WritesDrainedNotification)
     MemDevice dev(eq, "dev", smallNvm());
     EXPECT_TRUE(dev.writesDrained());
 
-    DeviceRequest w;
-    w.addr = 0;
-    w.is_write = true;
-    dev.enqueue(std::move(w));
+    dev.enqueueWrite(0, kZeros.data(), TrafficSource::DemandRead);
     EXPECT_FALSE(dev.writesDrained());
 
     bool drained = false;
@@ -244,16 +201,8 @@ TEST(DeviceTest, WriteTrafficAttributedBySource)
 {
     EventQueue eq;
     MemDevice dev(eq, "dev", smallNvm());
-    DeviceRequest w1;
-    w1.addr = 0;
-    w1.is_write = true;
-    w1.source = TrafficSource::Checkpoint;
-    dev.enqueue(std::move(w1));
-    DeviceRequest w2;
-    w2.addr = 64;
-    w2.is_write = true;
-    w2.source = TrafficSource::Migration;
-    dev.enqueue(std::move(w2));
+    dev.enqueueWrite(0, kZeros.data(), TrafficSource::Checkpoint);
+    dev.enqueueWrite(64, kZeros.data(), TrafficSource::Migration);
     eq.run();
     EXPECT_EQ(dev.writeBytes(TrafficSource::Checkpoint), kBlockSize);
     EXPECT_EQ(dev.writeBytes(TrafficSource::Migration), kBlockSize);
@@ -272,12 +221,9 @@ TEST(PortTest, StagesBeyondDeviceCapacity)
 
     unsigned accepted = 0;
     for (unsigned i = 0; i < 64; ++i) {
-        DeviceRequest w;
-        w.addr = i * kBlockSize;
-        w.is_write = true;
         auto data = patternBlock(i);
-        std::memcpy(w.data.data(), data.data(), kBlockSize);
-        port.send(std::move(w), [&] { ++accepted; });
+        port.sendWrite(i * kBlockSize, data.data(), TrafficSource::DemandRead,
+                       {}, [&] { ++accepted; });
     }
     bool all_durable = false;
     port.notifyWhenWritesDurable([&] { all_durable = true; });
@@ -299,13 +245,9 @@ TEST(PortTest, FunctionalReadSeesStagedWrites)
     // Fill the device queue so later writes stage in the port FIFO.
     std::array<std::uint8_t, kBlockSize> expected{};
     for (unsigned i = 0; i < 8; ++i) {
-        DeviceRequest w;
-        w.addr = 0;
-        w.is_write = true;
         auto data = patternBlock(100 + i);
         expected = data;
-        std::memcpy(w.data.data(), data.data(), kBlockSize);
-        port.send(std::move(w));
+        port.sendWrite(0, data.data(), TrafficSource::DemandRead);
     }
     std::array<std::uint8_t, kBlockSize> out{};
     port.functionalRead(0, out.data(), kBlockSize);
@@ -322,12 +264,8 @@ TEST(PortTest, CrashDropsStagedRequests)
     MemDevice dev(eq, "dev", p);
     DevicePort port(dev);
     for (unsigned i = 0; i < 8; ++i) {
-        DeviceRequest w;
-        w.addr = 64 * i;
-        w.is_write = true;
         auto data = patternBlock(i);
-        std::memcpy(w.data.data(), data.data(), kBlockSize);
-        port.send(std::move(w));
+        port.sendWrite(64 * i, data.data(), TrafficSource::DemandRead);
     }
     port.crash();
     dev.crash();
@@ -352,12 +290,9 @@ TEST(PortTest, DurabilityOrderingForCommitRecords)
     MemDevice dev(eq, "dev", p);
     DevicePort port(dev);
 
-    for (unsigned i = 0; i < 32; ++i) {
-        DeviceRequest w;
-        w.addr = i * kBlockSize;
-        w.is_write = true;
-        port.send(std::move(w));
-    }
+    for (unsigned i = 0; i < 32; ++i)
+        port.sendWrite(i * kBlockSize, kZeros.data(),
+                       TrafficSource::DemandRead);
     bool data_durable = false;
     port.notifyWhenWritesDurable([&] { data_durable = true; });
     eq.runUntil([&] { return data_durable; });

@@ -46,10 +46,16 @@ struct Options
 void
 usage()
 {
+    std::string kinds;
+    for (SystemKind k : kAllSystemKinds) {
+        if (!kinds.empty())
+            kinds += " | ";
+        kinds += systemToken(k);
+    }
     std::printf(
         "usage: thynvm_sim [options]\n"
-        "  --system=KIND      thynvm | journal | shadow | ideal-dram |\n"
-        "                     ideal-nvm (default thynvm)\n"
+        "  --system=KIND      %s\n"
+        "                     (default thynvm)\n"
         "  --workload=NAME    random | streaming | sliding | kv-hash |\n"
         "                     kv-rbtree | spec:<bench> (default sliding)\n"
         "  --accesses=N       micro-benchmark memory accesses\n"
@@ -64,7 +70,8 @@ usage()
         "                     recover and resume to completion\n"
         "  --record-trace=F   save the op stream to trace file F\n"
         "  --replay-trace=F   replay a previously recorded trace\n"
-        "  --stats            dump all component statistics at the end\n");
+        "  --stats            dump all component statistics at the end\n",
+        kinds.c_str());
 }
 
 bool
@@ -86,22 +93,6 @@ parseFlag(const char* arg, const char* name, std::uint64_t* out)
         return false;
     *out = std::strtoull(s.c_str(), nullptr, 10);
     return true;
-}
-
-SystemKind
-systemKindOf(const std::string& s)
-{
-    if (s == "thynvm")
-        return SystemKind::ThyNvm;
-    if (s == "journal")
-        return SystemKind::Journal;
-    if (s == "shadow")
-        return SystemKind::Shadow;
-    if (s == "ideal-dram")
-        return SystemKind::IdealDram;
-    if (s == "ideal-nvm")
-        return SystemKind::IdealNvm;
-    fatal("unknown system '%s'", s.c_str());
 }
 
 std::unique_ptr<Workload>
@@ -147,7 +138,8 @@ SystemConfig
 makeConfig(const Options& opt)
 {
     SystemConfig cfg;
-    cfg.kind = systemKindOf(opt.system);
+    if (!systemKindFromToken(opt.system, cfg.kind))
+        fatal("unknown system '%s'", opt.system.c_str());
     cfg.phys_size = opt.phys_mb << 20;
     cfg.epoch_length = opt.epoch_us * kMicrosecond;
     cfg.thynvm.btt_entries = opt.btt;
