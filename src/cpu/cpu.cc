@@ -5,6 +5,7 @@
 
 #include "cpu/cpu.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -301,7 +302,8 @@ TraceCpu::archState() const
     const std::uint64_t wl_size = wl.size();
     std::memcpy(blob.data(), &insts, 8);
     std::memcpy(blob.data() + 8, &wl_size, 8);
-    std::memcpy(blob.data() + 16, wl.data(), wl.size());
+    // Not memcpy: an empty snapshot may have a null data().
+    std::copy(wl.begin(), wl.end(), blob.begin() + 16);
     return blob;
 }
 

@@ -7,14 +7,21 @@
  * schedule either ad-hoc lambdas or reusable Event objects.
  *
  * Hot-path design (DESIGN.md "Simulator performance"):
- *  - Callbacks are stored in a small-buffer-optimized inline callable
- *    (InlineFn); captures up to 48 bytes — which covers every callback
- *    the simulator schedules — never touch the heap.
+ *  - The queue orders 24-byte keys {when, seq, slot} and nothing else.
+ *    A key names a payload slot that holds the callback: an inline
+ *    callable (InlineFn; captures up to 48 bytes, which covers every
+ *    callback the simulator schedules, never touch the heap) or a
+ *    reusable Event plus the generation it was queued under. Heap
+ *    sifts copy keys, never callables.
+ *  - Slots live in fixed-size chunks that never move, so step() runs a
+ *    callback in place; the callback may schedule new events or
+ *    clear() the queue while it runs. The slot is released when the
+ *    callback returns.
  *  - Same-tick continuations (scheduleIn(0, ...): device completions,
  *    table-lookup callbacks, CPU step chaining) bypass the binary heap
- *    through a FIFO ring whose backing storage is reused, so
- *    steady-state scheduling performs zero heap allocations.
- *  - A single global sequence number orders the ring against the heap,
+ *    through a FIFO of keys whose storage is reused, so steady-state
+ *    scheduling performs zero heap allocations.
+ *  - A single global sequence number orders the FIFO against the heap,
  *    preserving exact tick+FIFO semantics regardless of which path an
  *    item took.
  */
@@ -23,8 +30,10 @@
 #define THYNVM_SIM_EVENTQ_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -40,12 +49,14 @@ class EventQueue;
 namespace detail {
 
 /**
- * A move-only type-erased `void()` callable with inline storage.
+ * A type-erased `void()` callable with inline storage. It is built in
+ * place and never moved: it lives in an Event or in a queue's payload
+ * slot, both of which stay put for its whole life.
  *
- * Callables up to kInlineBytes whose move constructor cannot throw are
- * stored in place; anything larger falls back to a heap allocation.
- * Unlike std::function this never allocates for the capture sizes the
- * simulator uses, and it accepts move-only captures.
+ * Callables up to kInlineBytes are stored in place; anything larger
+ * falls back to a heap allocation. Unlike std::function this never
+ * allocates for the capture sizes the simulator uses, and it accepts
+ * move-only captures.
  */
 class InlineFn
 {
@@ -58,41 +69,9 @@ class InlineFn
     template <typename F,
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<F>, InlineFn>>>
-    InlineFn(F&& fn) // NOLINT: implicit like std::function
+    explicit InlineFn(F&& fn)
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-            ops_ = &kOps<Fn, true>;
-        } else {
-            ::new (static_cast<void*>(storage_))
-                Fn*(new Fn(std::forward<F>(fn)));
-            ops_ = &kOps<Fn, false>;
-        }
-    }
-
-    InlineFn(InlineFn&& other) noexcept : ops_(other.ops_)
-    {
-        if (ops_ != nullptr) {
-            ops_->relocate(other.storage_, storage_);
-            other.ops_ = nullptr;
-        }
-    }
-
-    InlineFn&
-    operator=(InlineFn&& other) noexcept
-    {
-        if (this != &other) {
-            reset();
-            ops_ = other.ops_;
-            if (ops_ != nullptr) {
-                ops_->relocate(other.storage_, storage_);
-                other.ops_ = nullptr;
-            }
-        }
-        return *this;
+        emplace(std::forward<F>(fn));
     }
 
     InlineFn(const InlineFn&) = delete;
@@ -101,73 +80,54 @@ class InlineFn
     ~InlineFn() { reset(); }
 
     /** True if a callable is held. */
-    explicit operator bool() const { return ops_ != nullptr; }
+    explicit operator bool() const { return invoke_ != nullptr; }
 
-    /** Invoke the held callable. */
+    /** Construct @p fn in place; nothing may be held. */
+    template <typename F>
     void
-    operator()()
+    emplace(F&& fn)
     {
-        ops_->invoke(storage_);
+        using Fn = std::decay_t<F>;
+        if constexpr (sizeof(Fn) <= kInlineBytes &&
+                      alignof(Fn) <= alignof(std::max_align_t)) {
+            ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+            invoke_ = [](void* s) {
+                (*std::launder(static_cast<Fn*>(s)))();
+            };
+            if constexpr (!std::is_trivially_destructible_v<Fn>)
+                destroy_ = [](void* s) {
+                    std::launder(static_cast<Fn*>(s))->~Fn();
+                };
+        } else {
+            ::new (static_cast<void*>(storage_))
+                Fn*(new Fn(std::forward<F>(fn)));
+            invoke_ = [](void* s) {
+                (**std::launder(static_cast<Fn**>(s)))();
+            };
+            destroy_ = [](void* s) {
+                delete *std::launder(static_cast<Fn**>(s));
+            };
+        }
     }
 
-  private:
-    struct Ops
-    {
-        void (*invoke)(void* self);
-        /** Move-construct into @p dst, destroy @p src. */
-        void (*relocate)(void* src, void* dst);
-        void (*destroy)(void* self);
-    };
+    /** Invoke the held callable. */
+    void operator()() { invoke_(storage_); }
 
-    template <typename Fn, bool Inline>
-    struct Model
-    {
-        static Fn*
-        get(void* s)
-        {
-            if constexpr (Inline)
-                return std::launder(reinterpret_cast<Fn*>(s));
-            else
-                return *std::launder(reinterpret_cast<Fn**>(s));
-        }
-        static void invoke(void* s) { (*get(s))(); }
-        static void
-        relocate(void* src, void* dst)
-        {
-            if constexpr (Inline) {
-                Fn* f = get(src);
-                ::new (dst) Fn(std::move(*f));
-                f->~Fn();
-            } else {
-                ::new (dst) Fn*(get(src));
-            }
-        }
-        static void
-        destroy(void* s)
-        {
-            if constexpr (Inline)
-                get(s)->~Fn();
-            else
-                delete get(s);
-        }
-    };
-
-    template <typename Fn, bool Inline>
-    static constexpr Ops kOps = {&Model<Fn, Inline>::invoke,
-                                 &Model<Fn, Inline>::relocate,
-                                 &Model<Fn, Inline>::destroy};
-
+    /** Destroy the held callable, releasing its captures. */
     void
     reset()
     {
-        if (ops_ != nullptr) {
-            ops_->destroy(storage_);
-            ops_ = nullptr;
-        }
+        if (destroy_ != nullptr)
+            destroy_(storage_);
+        invoke_ = nullptr;
+        destroy_ = nullptr;
     }
 
+  private:
     alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-    const Ops* ops_ = nullptr;
+    void (*invoke_)(void*) = nullptr;
+    /** Null for trivially destructible inline callables. */
+    void (*destroy_)(void*) = nullptr;
 };
 
 } // namespace detail
@@ -212,6 +172,9 @@ class Event
 class EventQueue
 {
   public:
+    /** Payload slots per pool chunk; a chunk never moves once made. */
+    static constexpr std::uint32_t kSlotsPerChunk = 256;
+
     EventQueue() = default;
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
@@ -227,14 +190,9 @@ class EventQueue
         panic_if(when < now_, "scheduling in the past (%lu < %lu)",
                  static_cast<unsigned long>(when),
                  static_cast<unsigned long>(now_));
-        if (when == now_) {
-            ring_.push_back(Item{when, seq_++, nullptr, 0,
-                                 detail::InlineFn(std::forward<F>(fn))});
-            ++fast_path_schedules_;
-        } else {
-            pushHeap(Item{when, seq_++, nullptr, 0,
-                          detail::InlineFn(std::forward<F>(fn))});
-        }
+        const std::uint32_t slot = allocSlot();
+        slotAt(slot).fn.emplace(std::forward<F>(fn));
+        push(Key{when, seq_++, slot});
     }
 
     /** Schedule a one-shot callback @p delta ticks from now. */
@@ -272,8 +230,9 @@ class EventQueue
         panic_if(when < now_, "delivering a message in the past");
         panic_if((order_key & kMessageOrderBit) == 0,
                  "message order key without kMessageOrderBit");
-        pushHeap(Item{when, order_key, nullptr, 0,
-                      detail::InlineFn(std::forward<F>(fn))});
+        const std::uint32_t slot = allocSlot();
+        slotAt(slot).fn.emplace(std::forward<F>(fn));
+        pushHeap(Key{when, order_key, slot});
     }
 
     /** Schedule a reusable @p event at absolute tick @p when. */
@@ -284,14 +243,11 @@ class EventQueue
         panic_if(when < now_, "scheduling in the past");
         event.scheduled_ = true;
         event.when_ = when;
-        if (when == now_) {
-            ring_.push_back(Item{when, seq_++, &event, event.generation_,
-                                 detail::InlineFn()});
-            ++fast_path_schedules_;
-        } else {
-            pushHeap(Item{when, seq_++, &event, event.generation_,
-                          detail::InlineFn()});
-        }
+        const std::uint32_t slot = allocSlot();
+        Slot& s = slotAt(slot);
+        s.event = &event;
+        s.generation = event.generation_;
+        push(Key{when, seq_++, slot});
     }
 
     /** Cancel a pending @p event. No-op if not scheduled. */
@@ -309,31 +265,39 @@ class EventQueue
     step()
     {
         panic_if(empty(), "stepping an empty event queue");
-        // The ring holds only items at the current tick, so it can only
-        // lose the FIFO tie against a heap item at that same tick that
-        // was scheduled earlier (smaller sequence number).
-        Item item;
-        if (!ring_.empty() &&
-            (heap_.empty() || ring_.front().when < heap_.front().when ||
-             (ring_.front().when == heap_.front().when &&
-              ring_.front().seq < heap_.front().seq))) {
-            item = ring_.take_front();
+        // The FIFO holds only keys at the current tick, so it can only
+        // lose the tie against a heap key at that same tick that was
+        // scheduled earlier (smaller sequence number).
+        Key key{};
+        if (fifo_head_ != fifo_.size() &&
+            (heap_.empty() || Later{}(heap_.front(), fifo_[fifo_head_]))) {
+            key = fifo_[fifo_head_++];
+            if (fifo_head_ == fifo_.size())
+                rewindFifo();
         } else {
             std::pop_heap(heap_.begin(), heap_.end(), Later{});
-            item = std::move(heap_.back());
+            key = heap_.back();
             heap_.pop_back();
         }
-        panic_if(item.when < now_, "event queue went backwards");
-        now_ = item.when;
-        if (item.event != nullptr) {
-            if (item.event->generation_ != item.generation)
+        panic_if(key.when < now_, "event queue went backwards");
+        now_ = key.when;
+        Slot& s = slotAt(key.slot);
+        if (Event* event = s.event) {
+            const bool live = event->generation_ == s.generation;
+            s.event = nullptr;
+            free_.push_back(key.slot);
+            if (!live)
                 return; // cancelled
-            item.event->scheduled_ = false;
+            event->scheduled_ = false;
             ++events_executed_;
-            item.event->fn_();
+            event->fn_();
         } else {
             ++events_executed_;
-            item.fn();
+            // Run in place (slots never move, so the callback may
+            // schedule or clear() freely); the guard frees the slot when
+            // the callback returns or unwinds.
+            const SlotRelease release{*this, key.slot};
+            s.fn();
         }
     }
 
@@ -341,11 +305,15 @@ class EventQueue
     bool
     empty() const
     {
-        return heap_.empty() && ring_.empty();
+        return heap_.empty() && fifo_head_ == fifo_.size();
     }
 
     /** Number of pending items (including lazily cancelled ones). */
-    std::size_t size() const { return heap_.size() + ring_.size(); }
+    std::size_t
+    size() const
+    {
+        return heap_.size() + (fifo_.size() - fifo_head_);
+    }
 
     /**
      * Earliest pending tick, or kMaxTick if the queue is empty. Lets a
@@ -369,16 +337,18 @@ class EventQueue
      * power failure: all components' volatile state is reset together,
      * so their in-flight callbacks are void. Time does not move.
      * Reusable events that were still queued are left descheduled and
-     * may be rescheduled freely afterwards.
+     * may be rescheduled freely afterwards. A callback that is running
+     * is not pending: it finishes normally.
      */
     void
     clear()
     {
-        for (auto& item : heap_)
-            dropEvent(item);
-        ring_.for_each([this](Item& item) { dropEvent(item); });
+        for (const Key& key : heap_)
+            releaseSlot(key.slot);
+        for (std::size_t i = fifo_head_; i < fifo_.size(); ++i)
+            releaseSlot(fifo_[i].slot);
         heap_.clear();
-        ring_.clear();
+        rewindFifo();
     }
 
     /**
@@ -411,20 +381,35 @@ class EventQueue
     }
 
   private:
-    struct Item
+    /**
+     * What the heap and the FIFO order: trivially copyable, so a heap
+     * sift is a few word moves. `seq` is the arrival sequence number,
+     * or a message order key with kMessageOrderBit set.
+     */
+    struct Key
     {
-        Tick when = 0;
-        std::uint64_t seq = 0;
+        Tick when;
+        std::uint64_t seq;
+        std::uint32_t slot;
+    };
+    static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
+
+    /**
+     * A pending callback: a one-shot callable, or (event != nullptr) a
+     * reusable event and the generation it was queued under.
+     */
+    struct Slot
+    {
+        detail::InlineFn fn;
         Event* event = nullptr;
         std::uint64_t generation = 0;
-        detail::InlineFn fn;
     };
 
     /** Min-heap comparator: later (when, seq) sinks. */
     struct Later
     {
         bool
-        operator()(const Item& a, const Item& b) const
+        operator()(const Key& a, const Key& b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -432,92 +417,107 @@ class EventQueue
         }
     };
 
-    /**
-     * FIFO of same-tick items backed by a vector that is reused rather
-     * than freed: pushes append, pops advance a head cursor, and the
-     * storage rewinds to the front whenever the ring empties.
-     */
-    class Ring
+    /** Frees a one-shot callback's slot once it has run. */
+    struct SlotRelease
     {
-      public:
-        bool empty() const { return head_ == items_.size(); }
-        std::size_t size() const { return items_.size() - head_; }
-        const Item& front() const { return items_[head_]; }
+        EventQueue& eq;
+        std::uint32_t slot;
 
-        void
-        push_back(Item&& item)
+        ~SlotRelease()
         {
-            if (head_ == items_.size())
-                rewind();
-            items_.push_back(std::move(item));
+            eq.slotAt(slot).fn.reset();
+            eq.free_.push_back(slot);
         }
-
-        Item
-        take_front()
-        {
-            Item item = std::move(items_[head_++]);
-            if (head_ == items_.size())
-                rewind();
-            return item;
-        }
-
-        template <typename Fn>
-        void
-        for_each(Fn&& fn)
-        {
-            for (std::size_t i = head_; i < items_.size(); ++i)
-                fn(items_[i]);
-        }
-
-        void
-        clear()
-        {
-            rewind();
-        }
-
-      private:
-        void
-        rewind()
-        {
-            items_.clear(); // keeps capacity: steady state allocates 0
-            head_ = 0;
-        }
-
-        std::vector<Item> items_;
-        std::size_t head_ = 0;
     };
 
-    void
-    pushHeap(Item&& item)
+    Slot&
+    slotAt(std::uint32_t slot)
     {
-        heap_.push_back(std::move(item));
+        return chunks_[slot / kSlotsPerChunk][slot % kSlotsPerChunk];
+    }
+
+    std::uint32_t
+    allocSlot()
+    {
+        if (free_.empty()) {
+            const auto base =
+                static_cast<std::uint32_t>(chunks_.size()) * kSlotsPerChunk;
+            chunks_.push_back(std::make_unique<Slot[]>(kSlotsPerChunk));
+            for (std::uint32_t i = kSlotsPerChunk; i-- > 0;)
+                free_.push_back(base + i);
+        }
+        const std::uint32_t slot = free_.back();
+        free_.pop_back();
+        return slot;
+    }
+
+    /**
+     * Drop a pending slot's callback as part of clear(): release a
+     * callable's captures, or leave a still-queued reusable event
+     * descheduled.
+     */
+    void
+    releaseSlot(std::uint32_t slot)
+    {
+        Slot& s = slotAt(slot);
+        if (s.event != nullptr) {
+            if (s.event->generation_ == s.generation) {
+                s.event->scheduled_ = false;
+                ++s.event->generation_;
+            }
+            s.event = nullptr;
+        } else {
+            s.fn.reset();
+        }
+        free_.push_back(slot);
+    }
+
+    void
+    push(const Key& key)
+    {
+        if (key.when == now_) {
+            if (fifo_head_ == fifo_.size())
+                rewindFifo();
+            fifo_.push_back(key);
+            ++fast_path_schedules_;
+        } else {
+            pushHeap(key);
+        }
+    }
+
+    void
+    pushHeap(const Key& key)
+    {
+        heap_.push_back(key);
         std::push_heap(heap_.begin(), heap_.end(), Later{});
+    }
+
+    /** Empty the FIFO, keeping its capacity: steady state allocates 0. */
+    void
+    rewindFifo()
+    {
+        fifo_.clear();
+        fifo_head_ = 0;
     }
 
     /** Earliest pending tick; queue must not be empty. */
     Tick
     nextWhen() const
     {
-        if (ring_.empty())
+        if (fifo_head_ == fifo_.size())
             return heap_.front().when;
         if (heap_.empty())
-            return ring_.front().when;
-        return std::min(ring_.front().when, heap_.front().when);
+            return fifo_[fifo_head_].when;
+        return std::min(fifo_[fifo_head_].when, heap_.front().when);
     }
 
-    /** Reset a queued reusable event's state as part of clear(). */
-    static void
-    dropEvent(Item& item)
-    {
-        if (item.event != nullptr &&
-            item.event->generation_ == item.generation) {
-            item.event->scheduled_ = false;
-            ++item.event->generation_;
-        }
-    }
-
-    std::vector<Item> heap_;
-    Ring ring_;
+    std::vector<Key> heap_;
+    /** Same-tick keys; [fifo_head_, size) are pending. */
+    std::vector<Key> fifo_;
+    std::size_t fifo_head_ = 0;
+    /** Payload pool: chunks of kSlotsPerChunk slots, and a free stack. */
+    std::vector<std::unique_ptr<Slot[]>> chunks_;
+    std::vector<std::uint32_t> free_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t events_executed_ = 0;

@@ -101,6 +101,13 @@ class KvWorkload : public Workload
     /** Structural validation of the store inside @p mem. */
     static void validateStructure(const Params& p, MemSpace& mem);
 
+    /**
+     * Deterministic value payload for (key, txn): @p len bytes of an
+     * LCG stream, each 64-bit state emitted little-endian.
+     */
+    static void fillValue(std::uint64_t key, std::uint64_t txn,
+                          std::uint8_t* buf, std::uint32_t len);
+
   private:
     struct PlannedOp
     {

@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "common/rng.hh"
 #include "sim/eventq.hh"
 
 namespace thynvm {
@@ -285,6 +292,375 @@ TEST(EventQueueTest, ClearMidEpochDropsBothPaths)
     eq.schedule(fifo_ev, 600);
     eq.run();
     EXPECT_EQ(fired, 2);
+}
+
+// ---------------------------------------------------------------------
+// Differential test against a reference model.
+// ---------------------------------------------------------------------
+
+/**
+ * The scheduling surface the differential test drives, implemented by
+ * the real EventQueue and by a reference model. A firing reports an id:
+ * one-shot ids are >= 0, reusable event e reports -(e + 1).
+ */
+class Kernel
+{
+  public:
+    virtual ~Kernel() = default;
+    virtual Tick now() const = 0;
+    virtual void lambda(Tick when, int id) = 0;
+    virtual void message(Tick when, std::uint64_t order, int id) = 0;
+    virtual void event(int e, Tick when) = 0;
+    virtual void deschedule(int e) = 0;
+    virtual bool scheduled(int e) const = 0;
+    virtual void clear() = 0;
+    virtual bool empty() const = 0;
+    virtual void step() = 0;
+    virtual std::size_t size() const = 0;
+    virtual std::uint64_t executed() const = 0;
+    virtual std::uint64_t fastPath() const = 0;
+
+    /** Called on every firing; set by runScript(). */
+    std::function<void(int)> on_fire;
+};
+
+class RealKernel : public Kernel
+{
+  public:
+    explicit RealKernel(int events)
+    {
+        for (int e = 0; e < events; ++e)
+            events_.push_back(
+                std::make_unique<Event>([this, e] { on_fire(-(e + 1)); }));
+    }
+
+    Tick now() const override { return eq_.now(); }
+    void
+    lambda(Tick when, int id) override
+    {
+        eq_.schedule(when, [this, id] { on_fire(id); });
+    }
+    void
+    message(Tick when, std::uint64_t order, int id) override
+    {
+        eq_.scheduleMessage(when, order, [this, id] { on_fire(id); });
+    }
+    void event(int e, Tick when) override { eq_.schedule(*events_[e], when); }
+    void deschedule(int e) override { eq_.deschedule(*events_[e]); }
+    bool scheduled(int e) const override { return events_[e]->scheduled(); }
+    void clear() override { eq_.clear(); }
+    bool empty() const override { return eq_.empty(); }
+    void step() override { eq_.step(); }
+    std::size_t size() const override { return eq_.size(); }
+    std::uint64_t executed() const override { return eq_.eventsExecuted(); }
+    std::uint64_t fastPath() const override
+    {
+        return eq_.fastPathSchedules();
+    }
+
+  private:
+    EventQueue eq_;
+    std::vector<std::unique_ptr<Event>> events_;
+};
+
+/**
+ * Reference model: one unsorted list, popped by its smallest
+ * (when, order key); reusable events are cancelled lazily through a
+ * generation counter, as documented for EventQueue.
+ */
+class ModelKernel : public Kernel
+{
+  public:
+    explicit ModelKernel(int events) : events_(events) {}
+
+    Tick now() const override { return now_; }
+    void
+    lambda(Tick when, int id) override
+    {
+        add(Item{when, seq_++, id, -1, 0});
+    }
+    void
+    message(Tick when, std::uint64_t order, int id) override
+    {
+        items_.push_back(Item{when, order, id, -1, 0});
+    }
+    void
+    event(int e, Tick when) override
+    {
+        events_[e].scheduled = true;
+        add(Item{when, seq_++, 0, e, events_[e].generation});
+    }
+    void
+    deschedule(int e) override
+    {
+        if (events_[e].scheduled) {
+            events_[e].scheduled = false;
+            ++events_[e].generation;
+        }
+    }
+    bool scheduled(int e) const override { return events_[e].scheduled; }
+    void
+    clear() override
+    {
+        for (const Item& it : items_) {
+            if (it.event >= 0 &&
+                events_[it.event].generation == it.generation) {
+                events_[it.event].scheduled = false;
+                ++events_[it.event].generation;
+            }
+        }
+        items_.clear();
+    }
+    bool empty() const override { return items_.empty(); }
+    void
+    step() override
+    {
+        auto first = std::min_element(
+            items_.begin(), items_.end(), [](const Item& a, const Item& b) {
+                return a.when != b.when ? a.when < b.when
+                                        : a.order < b.order;
+            });
+        const Item it = *first;
+        items_.erase(first);
+        now_ = it.when;
+        if (it.event < 0) {
+            ++executed_;
+            on_fire(it.id);
+        } else if (events_[it.event].generation == it.generation) {
+            events_[it.event].scheduled = false;
+            ++executed_;
+            on_fire(-(it.event + 1));
+        }
+    }
+    std::size_t size() const override { return items_.size(); }
+    std::uint64_t executed() const override { return executed_; }
+    std::uint64_t fastPath() const override { return fast_path_; }
+
+  private:
+    struct Item
+    {
+        Tick when;
+        std::uint64_t order;
+        int id;
+        int event; // -1 for a one-shot callback
+        std::uint64_t generation;
+    };
+    struct RefEvent
+    {
+        bool scheduled = false;
+        std::uint64_t generation = 0;
+    };
+
+    void
+    add(const Item& it)
+    {
+        if (it.when == now_)
+            ++fast_path_;
+        items_.push_back(it);
+    }
+
+    std::vector<Item> items_;
+    std::vector<RefEvent> events_;
+    Tick now_ = 0;
+    std::uint64_t seq_ = 0;
+    std::uint64_t executed_ = 0;
+    std::uint64_t fast_path_ = 0;
+};
+
+/** One firing as the test observes it. */
+struct Firing
+{
+    int id;
+    Tick at;
+    std::size_t pending;
+
+    bool
+    operator==(const Firing& o) const
+    {
+        return id == o.id && at == o.at && pending == o.pending;
+    }
+};
+
+/**
+ * Run @p k on a random script: every firing (and the loop
+ * between steps) draws follow-up work from one seeded stream, so two
+ * kernels that fire in the same order see the same script.
+ */
+std::vector<Firing>
+runScript(Kernel& k, std::uint64_t seed, int events)
+{
+    Rng rng(seed);
+    std::vector<Firing> log;
+    int next_id = 0;
+    std::uint64_t next_msg = 0;
+    // Past this many firings no new work is drawn, so the run drains.
+    constexpr std::size_t kMaxFirings = 5000;
+
+    auto delta = [&] {
+        // Half the work is same-tick chaining (the FIFO path).
+        return rng.chance(0.5) ? Tick{0} : Tick{rng.range(1, 40)};
+    };
+    auto act = [&] {
+        if (log.size() >= kMaxFirings)
+            return;
+        const std::uint64_t dice = rng.below(100);
+        if (dice < 40) {
+            k.lambda(k.now() + delta(), next_id++);
+        } else if (dice < 55) {
+            // Link id in the middle bits, per-link FIFO index below.
+            const std::uint64_t order = EventQueue::kMessageOrderBit |
+                                        (rng.below(4) << 32) |
+                                        next_msg++;
+            k.message(k.now() + delta(), order, next_id++);
+        } else if (dice < 90) {
+            const int e = static_cast<int>(rng.below(events));
+            if (k.scheduled(e)) {
+                k.deschedule(e);
+                if (rng.chance(0.5))
+                    k.event(e, k.now() + delta());
+            } else {
+                k.event(e, k.now() + delta());
+            }
+        } else if (dice < 91) {
+            k.clear();
+        }
+    };
+
+    k.on_fire = [&](int id) {
+        log.push_back(Firing{id, k.now(), k.size()});
+        const std::uint64_t n = rng.below(4);
+        for (std::uint64_t i = 0; i < n; ++i)
+            act();
+    };
+    while (!k.empty() || log.size() < kMaxFirings) {
+        if (k.empty()) {
+            for (int i = 0; i < 8; ++i)
+                act(); // (re)seed a drained or cleared queue
+            continue;
+        }
+        k.step();
+        if (rng.chance(0.01))
+            act(); // between steps, clear() included
+    }
+    log.push_back(Firing{-1000, k.now(), k.size()});
+    log.push_back(Firing{-1001, k.executed(), k.fastPath()});
+    return log;
+}
+
+TEST(EventQueueTest, RandomScriptsMatchReferenceModel)
+{
+    constexpr int kEvents = 6;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        RealKernel real(kEvents);
+        ModelKernel model(kEvents);
+        const std::vector<Firing> got = runScript(real, seed, kEvents);
+        const std::vector<Firing> want = runScript(model, seed, kEvents);
+        ASSERT_GT(want.size(), 5000u) << "seed " << seed;
+        const auto diff =
+            std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+        ASSERT_TRUE(diff.first == got.end() && diff.second == want.end())
+            << "seed " << seed << ": first divergence at firing "
+            << (diff.first - got.begin());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Callback storage: capture lifetime and stable slots.
+// ---------------------------------------------------------------------
+
+TEST(EventQueueTest, CapturesReleasedOnceAfterRunClearOrDestruction)
+{
+    auto token = std::make_shared<int>(7);
+    // A capture too large for inline storage takes the heap fallback.
+    struct Big
+    {
+        std::shared_ptr<int> token;
+        std::array<std::uint64_t, 8> pad{};
+        void operator()() const {}
+    };
+    static_assert(sizeof(Big) > detail::InlineFn::kInlineBytes);
+
+    // After the callback runs: held while running, released after.
+    {
+        EventQueue eq;
+        long during = 0;
+        eq.schedule(10, [token, &during] { during = token.use_count(); });
+        eq.schedule(10, [&eq, token] {
+            eq.scheduleIn(0, [token] {}); // same-tick FIFO
+        });
+        eq.scheduleMessage(20, EventQueue::kMessageOrderBit | 1,
+                           [token] {});
+        eq.schedule(30, Big{token, {}});
+        EXPECT_EQ(token.use_count(), 5);
+        eq.step();
+        EXPECT_EQ(during, 5);
+        EXPECT_EQ(token.use_count(), 4);
+        eq.run();
+        EXPECT_EQ(token.use_count(), 1);
+    }
+    // On clear(), from outside and from inside a running callback.
+    {
+        EventQueue eq;
+        eq.schedule(10, [token] {});
+        eq.schedule(20, Big{token, {}});
+        eq.scheduleMessage(20, EventQueue::kMessageOrderBit | 1,
+                           [token] {});
+        EXPECT_EQ(token.use_count(), 4);
+        eq.clear();
+        EXPECT_EQ(token.use_count(), 1);
+
+        long after_clear = 0;
+        eq.schedule(5, [&eq, token, &after_clear] {
+            eq.scheduleIn(0, [token] {});
+            eq.scheduleIn(7, Big{token, {}});
+            eq.clear();
+            after_clear = token.use_count(); // only this capture is left
+        });
+        eq.run();
+        EXPECT_EQ(after_clear, 2);
+        EXPECT_EQ(token.use_count(), 1);
+    }
+    // When a queue with pending items is destroyed.
+    {
+        EventQueue eq;
+        eq.schedule(10, [token] {});
+        eq.schedule(10, [&eq, token] { eq.scheduleIn(0, [token] {}); });
+        eq.schedule(50, Big{token, {}});
+        eq.step();
+        eq.step(); // leaves one FIFO and one heap item pending
+        EXPECT_EQ(eq.size(), 2u);
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueueTest, RunningCallbackKeepsCapturesAcrossPoolGrowth)
+{
+    // The running callback schedules more than two chunks' worth of new
+    // events, growing the payload pool under it, then reads its own
+    // captures: they must not have moved or been overwritten.
+    EventQueue eq;
+    auto token = std::make_shared<int>(42);
+    constexpr std::uint32_t kNew = 2 * EventQueue::kSlotsPerChunk + 17;
+    const std::array<std::uint64_t, 4> pattern = {
+        0x0123456789abcdefULL, 0xfedcba9876543210ULL, 7, 11};
+    std::uint32_t fired = 0;
+    bool intact = false;
+    eq.schedule(1, [&eq, &fired, &intact, token, pattern] {
+        for (std::uint32_t i = 0; i < kNew; ++i) {
+            // Alternate the FIFO and heap paths.
+            eq.scheduleIn(i % 2, [&fired, token] { ++fired; });
+        }
+        intact = *token == 42 &&
+                 token.use_count() == static_cast<long>(kNew) + 2 &&
+                 pattern[0] == 0x0123456789abcdefULL &&
+                 pattern[1] == 0xfedcba9876543210ULL &&
+                 pattern[2] == 7 && pattern[3] == 11;
+    });
+    eq.run();
+    EXPECT_TRUE(intact);
+    EXPECT_EQ(fired, kNew);
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 } // namespace

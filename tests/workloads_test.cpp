@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hh"
 #include "workloads/hashtable.hh"
@@ -467,6 +469,33 @@ TEST(KvWorkloadTest, RbTreeReferenceValidates)
     HostMemSpace img(p.phys_size);
     KvWorkload::runReference(p, 300, img);
     KvWorkload::validateStructure(p, img);
+}
+
+TEST(KvWorkloadTest, FillValueMatchesBytewiseStream)
+{
+    // The byte-at-a-time loop fillValue replaced: every value in every
+    // golden and recorded digest was generated by it.
+    auto bytewise = [](std::uint64_t key, std::uint64_t txn,
+                       std::uint8_t* buf, std::uint32_t len) {
+        std::uint64_t v = (key + 1) * 0x9e3779b97f4a7c15ULL ^ (txn + 1);
+        for (std::uint32_t i = 0; i < len; ++i) {
+            buf[i] = static_cast<std::uint8_t>(v >> ((i % 8) * 8));
+            if (i % 8 == 7)
+                v = v * 6364136223846793005ULL + 1442695040888963407ULL;
+        }
+    };
+    const std::pair<std::uint64_t, std::uint64_t> key_txns[] = {
+        {0, 0}, {17, 3}, {~0ull, 123456789}};
+    for (std::uint32_t len : {1u, 7u, 8u, 9u, 100u, 256u, 4096u}) {
+        for (const auto& [key, txn] : key_txns) {
+            // One guard byte past the end must stay untouched.
+            std::vector<std::uint8_t> want(len + 1, 0xa5);
+            std::vector<std::uint8_t> got(len + 1, 0xa5);
+            bytewise(key, txn, want.data(), len);
+            KvWorkload::fillValue(key, txn, got.data(), len);
+            EXPECT_EQ(got, want) << "len=" << len << " key=" << key;
+        }
+    }
 }
 
 } // namespace

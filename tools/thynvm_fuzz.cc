@@ -21,6 +21,8 @@
  * THYNVM_CHANNELS environment variable, else 1) runs every simulated
  * System on an N-channel interleaved topology, which adds per-channel
  * (chK.*) and cross-channel barrier (group.*) crash sites to the plan.
+ * An explicit --channels wins over the environment and is recorded in
+ * every repro string (":ch=N", also for N = 1).
  */
 
 #include <cstdio>
@@ -111,7 +113,7 @@ main(int argc, char** argv)
     std::string replay_str;
     std::uint64_t n_seeds = 1;
     unsigned threads = std::max(1u, simThreadsFromEnv());
-    unsigned channels = channelsFromEnv();
+    unsigned channels = 0; // 0 = no --channels: defer to the env
 
     if (const char* env = std::getenv("THYNVM_FUZZ_ITERS"))
         n_seeds = std::strtoull(env, nullptr, 10);
@@ -146,8 +148,13 @@ main(int argc, char** argv)
         }
     }
 
-    if (channels <= 1)
-        channels = 0; // 0 = single-channel seed topology
+    if (channels == 0) {
+        // No flag: defer to THYNVM_CHANNELS. A single-channel run
+        // keeps channels 0, so its repro strings carry no ":ch=".
+        channels = channelsFromEnv();
+        if (channels == 1)
+            channels = 0;
+    }
     opts.channels = channels;
 
     if (list_sites)
