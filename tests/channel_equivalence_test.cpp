@@ -4,12 +4,12 @@
  *
  * Two contracts are pinned here:
  *
- *  1. The single-channel topology (`channels = 1`) is bit-for-bit the
- *     seed machine: dumpStats() of representative micro / KV / SPEC
- *     runs across all seven SystemKinds must match goldens generated
- *     before the multi-channel topology existed
- *     (tests/goldens/channel_*.txt; regenerate only deliberately with
- *     THYNVM_UPDATE_GOLDENS=1).
+ *  1. dumpStats() of representative micro / KV / SPEC runs across all
+ *     seven SystemKinds matches committed goldens at 1, 2 and 4
+ *     channels (tests/goldens/channel_*.txt; regenerate only
+ *     deliberately with THYNVM_UPDATE_GOLDENS=1). The single-channel
+ *     files predate the multi-channel topology, so `channels = 1` is
+ *     bit-for-bit the seed machine.
  *
  *  2. A multi-channel System executes on per-channel kernel shards,
  *     and its dumpStats() and final tick are byte-identical to the
@@ -156,44 +156,54 @@ runOne(Family f, const SystemConfig& cfg)
 }
 
 std::string
-goldenPath(Family f, SystemKind kind)
+goldenPath(Family f, SystemKind kind, unsigned channels)
 {
-    return std::string(THYNVM_GOLDEN_DIR) + "/channel_" +
-           familyToken(f) + "_" + kindToken(kind) + ".txt";
+    std::string path = std::string(THYNVM_GOLDEN_DIR) + "/channel_" +
+                       familyToken(f) + "_" + kindToken(kind);
+    if (channels > 1)
+        path += "_ch" + std::to_string(channels);
+    return path + ".txt";
 }
 
 /**
- * channels=1 must remain the seed topology, byte for byte: compare
- * dumpStats against goldens generated before multi-channel support.
+ * Every topology's output is pinned byte for byte: channels=1 must
+ * remain the seed topology (goldens generated before multi-channel
+ * support), and the 2- and 4-channel goldens pin the cross-channel
+ * commit protocol's stats and final tick.
  */
 TEST(ChannelEquivalence, SingleChannelMatchesPreChangeGoldens)
 {
     const bool update =
         std::getenv("THYNVM_UPDATE_GOLDENS") != nullptr;
-    for (SystemKind kind : allKinds()) {
-        for (Family f :
-             {Family::MicroRandom, Family::KvHash, Family::SpecGcc}) {
-            const RunResult r = runOne(f, smallConfig(kind));
-            ASSERT_TRUE(r.finished)
-                << familyToken(f) << "/" << kindToken(kind);
-            const std::string path = goldenPath(f, kind);
-            if (update) {
-                std::ofstream out(path, std::ios::binary);
-                ASSERT_TRUE(out.good()) << "cannot write " << path;
-                out << "final_tick=" << r.final_tick << "\n" << r.stats;
-                continue;
+    for (unsigned channels : {1u, 2u, 4u}) {
+        for (SystemKind kind : allKinds()) {
+            for (Family f :
+                 {Family::MicroRandom, Family::KvHash, Family::SpecGcc}) {
+                SystemConfig cfg = smallConfig(kind);
+                cfg.channels = channels;
+                // Short epochs so multi-channel runs cross several
+                // coordinated boundaries.
+                if (channels > 1)
+                    cfg.epoch_length = 100 * kMicrosecond;
+                const RunResult r = runOne(f, cfg);
+                const std::string path = goldenPath(f, kind, channels);
+                ASSERT_TRUE(r.finished) << path;
+                std::ostringstream got;
+                got << "final_tick=" << r.final_tick << "\n" << r.stats;
+                if (update) {
+                    std::ofstream out(path, std::ios::binary);
+                    ASSERT_TRUE(out.good()) << "cannot write " << path;
+                    out << got.str();
+                    continue;
+                }
+                std::ifstream in(path, std::ios::binary);
+                ASSERT_TRUE(in.good())
+                    << "missing golden " << path
+                    << " (generate with THYNVM_UPDATE_GOLDENS=1)";
+                std::ostringstream want;
+                want << in.rdbuf();
+                EXPECT_EQ(got.str(), want.str()) << "diverged from " << path;
             }
-            std::ifstream in(path, std::ios::binary);
-            ASSERT_TRUE(in.good())
-                << "missing golden " << path
-                << " (generate with THYNVM_UPDATE_GOLDENS=1)";
-            std::ostringstream want;
-            want << in.rdbuf();
-            std::ostringstream got;
-            got << "final_tick=" << r.final_tick << "\n" << r.stats;
-            EXPECT_EQ(got.str(), want.str())
-                << "channels=1 diverged from the pre-change topology: "
-                << path;
         }
     }
 }
