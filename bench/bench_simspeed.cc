@@ -6,23 +6,12 @@
  * Two sections:
  *
  *  1. Per-cell serial baseline — replays the Figure 7 micro-benchmark
- *     cells one at a time on one host thread and reports kernel events
- *     per host second and host seconds per simulated millisecond.
+ *     cells one at a time and reports kernel events per host second and
+ *     host seconds per simulated millisecond.
  *
- *  2. Sharded-kernel thread sweep (--threads t1,t2,...; default
- *     1,2,4,8) — runs the same cell set as one SystemGroup whose
- *     shards are stepped by N worker threads, and cross-checks that
- *     every cell finishes with the identical final tick and event
- *     count as its solo serial run (the determinism contract of
- *     DESIGN.md §8), while measuring wall-clock scaling.
- *
- *  3. Channel sweep — ONE System (Random/ThyNVM) at 1/2/4 memory
- *     channels, each stepped by 1/2/4 worker threads. Multi-channel
- *     splits a single run into per-channel kernel shards, so this is
- *     the intra-System parallel-speedup axis; every (channels,
- *     threads) cell is cross-checked against the one-worker run of
- *     the identical topology (same final tick, same total event
- *     count across the core and every channel queue).
+ *  2. Channel sweep — ONE System (Random/ThyNVM) at 1/2/4 memory
+ *     channels, reporting events across the core and every channel
+ *     queue, and the cross-channel messages those queues exchanged.
  *
  * Results are written as machine-readable JSON to BENCH_simspeed.json
  * (in the working directory) so the performance trajectory of the
@@ -30,21 +19,17 @@
  * the history.
  *
  * This binary deliberately ignores THYNVM_BENCH_THREADS: host-side
- * fan-out would perturb the per-run timing it exists to measure. The
- * only parallelism here is the sharded kernel under test.
+ * fan-out would perturb the per-run timing it exists to measure, so
+ * every run here is on one host thread.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "harness/shard_group.hh"
 
 namespace {
 
@@ -72,7 +57,6 @@ struct SpeedResult
     double sim_ms = 0.0;
     double events_per_sec = 0.0;
     double host_sec_per_sim_ms = 0.0;
-    Tick final_tick = 0;
     /** Process peak RSS after the cell (monotone across cells). */
     std::uint64_t peak_rss_bytes = 0;
 };
@@ -101,7 +85,7 @@ measure(SystemKind kind, MicroWorkload::Pattern pattern)
 
     const auto t0 = Clock::now();
     sys.start();
-    const Tick end = sys.run(60 * kSecond);
+    sys.run(60 * kSecond);
     const double host =
         std::chrono::duration<double>(Clock::now() - t0).count();
     fatal_if(!sys.finished(), "simspeed run did not complete");
@@ -116,89 +100,19 @@ measure(SystemKind kind, MicroWorkload::Pattern pattern)
     r.events_per_sec =
         host > 0.0 ? static_cast<double>(r.events) / host : 0.0;
     r.host_sec_per_sim_ms = r.sim_ms > 0.0 ? host / r.sim_ms : 0.0;
-    r.final_tick = end;
     r.peak_rss_bytes = peakRssBytes();
     return r;
 }
 
-/** One sweep point: the full cell set as a sharded group. */
-struct SweepResult
-{
-    unsigned threads = 0;
-    std::uint64_t events = 0;
-    double host_seconds = 0.0;
-    double events_per_sec = 0.0;
-    double speedup = 1.0;
-    std::uint64_t windows = 0;
-};
-
-SweepResult
-measureGroup(unsigned threads,
-             const std::vector<SpeedResult>& serial_cells)
-{
-    const std::vector<MicroWorkload::Pattern> patterns = {
-        MicroWorkload::Pattern::Random,
-        MicroWorkload::Pattern::Streaming,
-        MicroWorkload::Pattern::Sliding,
-    };
-
-    std::vector<std::unique_ptr<MicroWorkload>> wls;
-    std::vector<std::unique_ptr<System>> systems;
-    SystemGroup group;
-    for (auto pattern : patterns) {
-        for (auto kind : allSystems()) {
-            wls.push_back(
-                std::make_unique<MicroWorkload>(cellParams(pattern)));
-            systems.push_back(std::make_unique<System>(
-                paperSystem(kind), *wls.back()));
-        }
-    }
-
-    const auto t0 = Clock::now();
-    for (auto& sys : systems) {
-        sys->start();
-        group.add(*sys);
-    }
-    group.run(threads, 60 * kSecond);
-    const double host =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-
-    SweepResult r;
-    r.threads = threads;
-    r.host_seconds = host;
-    r.windows = group.windowsExecuted();
-    for (std::size_t i = 0; i < systems.size(); ++i) {
-        fatal_if(!systems[i]->finished(),
-                 "sharded cell did not complete");
-        const std::uint64_t ev = systems[i]->eventq().eventsExecuted();
-        // Determinism contract: every shard replays exactly the serial
-        // event sequence, whatever the worker count.
-        fatal_if(ev != serial_cells[i].events,
-                 "sharded run diverged from serial: cell %s events "
-                 "%llu != %llu",
-                 serial_cells[i].label.c_str(),
-                 static_cast<unsigned long long>(ev),
-                 static_cast<unsigned long long>(
-                     serial_cells[i].events));
-        r.events += ev;
-    }
-    r.events_per_sec =
-        host > 0.0 ? static_cast<double>(r.events) / host : 0.0;
-    return r;
-}
-
-/** One channel-sweep cell: a single System, C channels, N workers. */
+/** One channel-sweep cell: a single System at C channels. */
 struct ChannelCell
 {
     unsigned channels = 1;
-    unsigned threads = 1;
     std::uint64_t events = 0;
     double host_seconds = 0.0;
     double events_per_sec = 0.0;
-    double speedup = 1.0; //!< vs. one worker at the same channel count
     Tick final_tick = 0;
-    /** Kernel windows / cross-shard messages (0 for the serial loop). */
-    std::uint64_t windows = 0;
+    /** Cross-channel messages (0 on one channel). */
     std::uint64_t messages = 0;
 };
 
@@ -216,11 +130,10 @@ totalEvents(System& sys)
 }
 
 ChannelCell
-measureChannelCell(unsigned channels, unsigned threads)
+measureChannelCell(unsigned channels)
 {
     SystemConfig cfg = paperSystem(SystemKind::ThyNvm);
     cfg.channels = channels;
-    cfg.sim_threads = threads;
     MicroWorkload wl(cellParams(MicroWorkload::Pattern::Random));
     System sys(cfg, wl);
 
@@ -233,13 +146,11 @@ measureChannelCell(unsigned channels, unsigned threads)
 
     ChannelCell r;
     r.channels = channels;
-    r.threads = threads;
     r.events = totalEvents(sys);
     r.host_seconds = host;
     r.events_per_sec =
         host > 0.0 ? static_cast<double>(r.events) / host : 0.0;
     r.final_tick = end;
-    r.windows = sys.kernelWindows();
     r.messages = sys.kernelMessages();
     return r;
 }
@@ -247,25 +158,8 @@ measureChannelCell(unsigned channels, unsigned threads)
 } // namespace
 
 int
-main(int argc, char** argv)
+main()
 {
-    std::vector<unsigned> sweep_threads = {1, 2, 4, 8};
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            sweep_threads.clear();
-            for (const char* p = argv[++i]; *p != '\0';) {
-                char* end = nullptr;
-                sweep_threads.push_back(static_cast<unsigned>(
-                    std::strtoul(p, &end, 10)));
-                p = (*end == ',') ? end + 1 : end;
-            }
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--threads t1,t2,...]\n", argv[0]);
-            return 2;
-        }
-    }
-
     const std::vector<MicroWorkload::Pattern> patterns = {
         MicroWorkload::Pattern::Random,
         MicroWorkload::Pattern::Streaming,
@@ -305,65 +199,18 @@ main(int argc, char** argv)
                 agg_eps, agg_spms);
 
     const unsigned host_threads = std::thread::hardware_concurrency();
-    heading("Sharded kernel: same cells as one group, worker sweep");
-    std::printf("host hardware threads: %u\n\n", host_threads);
-    std::printf("%-8s %14s %10s %14s %10s %10s\n", "threads", "events",
-                "host_s", "events/s", "speedup", "windows");
-
-    std::vector<SweepResult> sweep;
-    for (unsigned threads : sweep_threads) {
-        SweepResult s = measureGroup(threads, results);
-        if (!sweep.empty() && sweep.front().host_seconds > 0.0)
-            s.speedup = sweep.front().host_seconds / s.host_seconds;
-        std::printf("%-8u %14llu %10.2f %14.0f %9.2fx %10llu\n",
-                    s.threads,
-                    static_cast<unsigned long long>(s.events),
-                    s.host_seconds, s.events_per_sec, s.speedup,
-                    static_cast<unsigned long long>(s.windows));
-        sweep.push_back(s);
-    }
-
-    heading("Channel sweep: one Random/ThyNVM System, "
-            "channels x workers");
-    std::printf("%-10s %-8s %14s %10s %14s %10s %12s %10s\n", "channels",
-                "threads", "events", "host_s", "events/s", "speedup",
-                "windows", "messages");
+    heading("Channel sweep: one Random/ThyNVM System");
+    std::printf("%-10s %14s %10s %14s %10s\n", "channels", "events",
+                "host_s", "events/s", "messages");
 
     std::vector<ChannelCell> channel_sweep;
     for (unsigned channels : {1u, 2u, 4u}) {
-        ChannelCell ref; // the one-worker cell at this channel count
-        for (unsigned threads : {1u, 2u, 4u}) {
-            ChannelCell c = measureChannelCell(channels, threads);
-            if (threads == 1) {
-                ref = c;
-            } else {
-                // Determinism cross-check: the sharded run replays the
-                // one-worker schedule of the identical topology.
-                fatal_if(c.events != ref.events,
-                         "channel sweep diverged: channels=%u "
-                         "threads=%u events %llu != %llu",
-                         channels, threads,
-                         static_cast<unsigned long long>(c.events),
-                         static_cast<unsigned long long>(ref.events));
-                fatal_if(c.final_tick != ref.final_tick,
-                         "channel sweep diverged: channels=%u "
-                         "threads=%u final tick %llu != %llu",
-                         channels, threads,
-                         static_cast<unsigned long long>(c.final_tick),
-                         static_cast<unsigned long long>(
-                             ref.final_tick));
-                if (ref.host_seconds > 0.0)
-                    c.speedup = ref.host_seconds / c.host_seconds;
-            }
-            std::printf("%-10u %-8u %14llu %10.2f %14.0f %9.2fx %12llu "
-                        "%10llu\n",
-                        c.channels, c.threads,
-                        static_cast<unsigned long long>(c.events),
-                        c.host_seconds, c.events_per_sec, c.speedup,
-                        static_cast<unsigned long long>(c.windows),
-                        static_cast<unsigned long long>(c.messages));
-            channel_sweep.push_back(c);
-        }
+        const ChannelCell c = measureChannelCell(channels);
+        std::printf("%-10u %14llu %10.2f %14.0f %10llu\n", c.channels,
+                    static_cast<unsigned long long>(c.events),
+                    c.host_seconds, c.events_per_sec,
+                    static_cast<unsigned long long>(c.messages));
+        channel_sweep.push_back(c);
     }
 
     FILE* f = std::fopen("BENCH_simspeed.json", "w");
@@ -379,34 +226,17 @@ main(int argc, char** argv)
                     "\"host_sec_per_sim_ms\": %.5f},\n",
                  static_cast<unsigned long long>(total_events),
                  total_host, agg_eps, agg_spms);
-    std::fprintf(f, "  \"thread_sweep\": [\n");
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-        const SweepResult& s = sweep[i];
-        std::fprintf(f,
-                     "    {\"threads\": %u, \"events\": %llu, "
-                     "\"host_seconds\": %.3f, \"events_per_sec\": "
-                     "%.0f, \"speedup\": %.3f, \"windows\": %llu}%s\n",
-                     s.threads,
-                     static_cast<unsigned long long>(s.events),
-                     s.host_seconds, s.events_per_sec, s.speedup,
-                     static_cast<unsigned long long>(s.windows),
-                     i + 1 == sweep.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"channel_sweep\": [\n");
     for (std::size_t i = 0; i < channel_sweep.size(); ++i) {
         const ChannelCell& c = channel_sweep[i];
         std::fprintf(f,
-                     "    {\"channels\": %u, \"threads\": %u, "
-                     "\"events\": %llu, \"host_seconds\": %.3f, "
-                     "\"events_per_sec\": %.0f, \"speedup\": %.3f, "
-                     "\"final_tick\": %llu, \"windows\": %llu, "
-                     "\"messages\": %llu}%s\n",
-                     c.channels, c.threads,
+                     "    {\"channels\": %u, \"events\": %llu, "
+                     "\"host_seconds\": %.3f, \"events_per_sec\": %.0f, "
+                     "\"final_tick\": %llu, \"messages\": %llu}%s\n",
+                     c.channels,
                      static_cast<unsigned long long>(c.events),
-                     c.host_seconds, c.events_per_sec, c.speedup,
+                     c.host_seconds, c.events_per_sec,
                      static_cast<unsigned long long>(c.final_tick),
-                     static_cast<unsigned long long>(c.windows),
                      static_cast<unsigned long long>(c.messages),
                      i + 1 == channel_sweep.size() ? "" : ",");
     }

@@ -70,8 +70,7 @@ class EpochController : public MemController
      * Stop initiating boundaries: cancel the epoch timer and refuse
      * future requests. An in-flight checkpoint completes normally (its
      * events are already scheduled), after which nothing re-arms, so
-     * the queue drains — the termination handshake of the per-channel
-     * kernel shards.
+     * the queue drains once a multi-channel workload has finished.
      */
     void
     halt() override

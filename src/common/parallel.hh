@@ -1,46 +1,23 @@
 /**
  * @file
- * Host-side threading primitives shared by the benchmark fan-out and
- * the sharded simulation kernel.
+ * Host-side threading primitives for fanning out independent
+ * simulations (benchmark grid cells, fuzz campaign cases).
  *
- * Two kinds of host parallelism coexist in this codebase, and both are
- * built from the helpers here:
- *
- *  1. *Fan-out* of independent simulations (benchmark grid cells, fuzz
- *     campaign cases): each System owns a private EventQueue and every
- *     piece of mutable state it touches, so whole runs are distributed
- *     across a ThreadPool with no synchronization beyond job handoff
- *     (see bench_util.hh runGrid and fuzz::runCampaign).
- *
- *  2. *Sharded stepping* of one joint simulation (sim/shard.hh): each
- *     shard owns an EventQueue stepped by exactly one worker inside a
- *     conservative lookahead window; workers rendezvous on a barrier at
- *     window edges, where cross-shard mailboxes (SpscRing) are drained
- *     in a fixed order. The shard-worker contract is:
- *
- *       - between barriers, a worker touches only state owned by the
- *         shards assigned to it (components are tagged with a shard
- *         affinity, SimObject::shard());
- *       - cross-shard communication goes through SpscRing mailboxes
- *         posted during a window and drained after the next barrier;
- *       - the barrier provides the happens-before edge that lets the
- *         coordinator read every shard's queue state race-free.
- *
- * Both substrates share the same ThreadPool, so a process never needs
- * more than one set of worker threads. Event delivery order inside a
- * shard is independent of worker scheduling, which is what makes
- * simulation results byte-identical for any thread count.
+ * Each System owns a private set of event queues and every piece of
+ * mutable state it touches, so whole runs are distributed across a
+ * ThreadPool with no synchronization beyond job handoff (see
+ * bench_util.hh runGrid and fuzz::runCampaign). One simulation always
+ * runs on one thread; results are byte-identical for any thread count.
  */
 
 #ifndef THYNVM_COMMON_PARALLEL_HH
 #define THYNVM_COMMON_PARALLEL_HH
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -128,8 +105,7 @@ class ThreadPool
  * One-shot countdown: arrive() decrements, wait() blocks until zero.
  *
  * The wait() return provides a happens-before edge from every arrive()
- * — the shard kernel relies on this to read worker-written queue state
- * race-free after a stepping round.
+ * — parallelForOn relies on this to read the jobs' results race-free.
  */
 class CountdownLatch
 {
@@ -163,187 +139,6 @@ class CountdownLatch
     std::condition_variable cv_;
 };
 
-/**
- * Reusable rendezvous for a fixed party count. The generation counter
- * makes consecutive waits independent, so the same Barrier instance
- * serves every window edge of a sharded run.
- */
-class Barrier
-{
-  public:
-    explicit Barrier(std::size_t parties) : parties_(parties) {}
-
-    Barrier(const Barrier&) = delete;
-    Barrier& operator=(const Barrier&) = delete;
-
-    /** Block until all parties have arrived at this generation. */
-    void
-    arriveAndWait()
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        const std::uint64_t gen = generation_;
-        if (++arrived_ == parties_) {
-            arrived_ = 0;
-            ++generation_;
-            cv_.notify_all();
-            return;
-        }
-        cv_.wait(lock, [this, gen] { return generation_ != gen; });
-    }
-
-  private:
-    std::size_t parties_;
-    std::size_t arrived_ = 0;
-    std::uint64_t generation_ = 0;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-};
-
-/**
- * Sense-reversing rendezvous tuned for the sharded kernel's window
- * loop, where windows are microseconds apart on the host: parties spin
- * briefly on the generation word, yield for a while, and only then
- * fall back to blocking on a condition variable. Compared to Barrier
- * this avoids a mutex round-trip per arrival on the fast path, which
- * dominates when the kernel executes millions of tiny windows.
- *
- * arriveAndWait() is a full acquire/release fence between generations:
- * everything written by any party before arriving is visible to every
- * party after the barrier opens.
- */
-class SpinBarrier
-{
-  public:
-    explicit SpinBarrier(std::uint32_t parties)
-        : parties_(parties),
-          // Spinning only helps when every party can be on a core at
-          // once; oversubscribed, the spinner burns the quantum the
-          // other parties need, so go straight to yield/block.
-          spin_limit_(parties <= std::thread::hardware_concurrency()
-                          ? 4096
-                          : 0)
-    {
-    }
-
-    SpinBarrier(const SpinBarrier&) = delete;
-    SpinBarrier& operator=(const SpinBarrier&) = delete;
-
-    /** Block until all parties have arrived at this generation. */
-    void
-    arriveAndWait()
-    {
-        const std::uint32_t gen =
-            generation_.load(std::memory_order_relaxed);
-        if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            parties_) {
-            // Last arriver: open the next generation. The mutex pairs
-            // with the blocking waiters' re-check so a notify cannot
-            // slip between their generation load and cv wait.
-            arrived_.store(0, std::memory_order_relaxed);
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                generation_.store(gen + 1, std::memory_order_release);
-            }
-            cv_.notify_all();
-            return;
-        }
-        for (int spin = 0; spin < spin_limit_; ++spin) {
-            if (generation_.load(std::memory_order_acquire) != gen)
-                return;
-        }
-        for (int pause = 0; pause < 64; ++pause) {
-            if (generation_.load(std::memory_order_acquire) != gen)
-                return;
-            std::this_thread::yield();
-        }
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait(lock, [this, gen] {
-            return generation_.load(std::memory_order_acquire) != gen;
-        });
-    }
-
-  private:
-    const std::uint32_t parties_;
-    const int spin_limit_;
-    std::atomic<std::uint32_t> arrived_{0};
-    std::atomic<std::uint32_t> generation_{0};
-    std::mutex mutex_;
-    std::condition_variable cv_;
-};
-
-/**
- * Bounded single-producer/single-consumer ring buffer.
- *
- * Lock-free: the producer writes `tail`, the consumer writes `head`,
- * and each reads the other's index with acquire/release ordering. Used
- * as the cross-shard mailbox: the sending shard's worker is the only
- * producer, and the window-edge coordinator (after the barrier) is the
- * only consumer.
- */
-template <typename T>
-class SpscRing
-{
-  public:
-    /** @param capacity maximum queued items (rounded up to a power of 2). */
-    explicit SpscRing(std::size_t capacity = 1024)
-    {
-        std::size_t cap = 1;
-        while (cap < capacity)
-            cap <<= 1;
-        slots_.resize(cap);
-        mask_ = cap - 1;
-    }
-
-    SpscRing(const SpscRing&) = delete;
-    SpscRing& operator=(const SpscRing&) = delete;
-
-    /** Producer side: enqueue. @return false if the ring is full. */
-    bool
-    push(T&& item)
-    {
-        const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        const std::size_t head = head_.load(std::memory_order_acquire);
-        if (tail - head > mask_)
-            return false; // full
-        slots_[tail & mask_] = std::move(item);
-        tail_.store(tail + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** Consumer side: dequeue into @p out. @return false if empty. */
-    bool
-    pop(T& out)
-    {
-        const std::size_t head = head_.load(std::memory_order_relaxed);
-        const std::size_t tail = tail_.load(std::memory_order_acquire);
-        if (head == tail)
-            return false; // empty
-        out = std::move(slots_[head & mask_]);
-        head_.store(head + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** Items currently queued (exact only when producer/consumer idle). */
-    std::size_t
-    size() const
-    {
-        return tail_.load(std::memory_order_acquire) -
-               head_.load(std::memory_order_acquire);
-    }
-
-    /** True if no items are queued. */
-    bool empty() const { return size() == 0; }
-
-    /** Capacity after power-of-two rounding. */
-    std::size_t capacity() const { return mask_ + 1; }
-
-  private:
-    std::vector<T> slots_;
-    std::size_t mask_ = 0;
-    std::atomic<std::size_t> head_{0};
-    std::atomic<std::size_t> tail_{0};
-};
-
 /** Host hardware concurrency, clamped to at least one. */
 inline unsigned
 hardwareThreads()
@@ -353,9 +148,9 @@ hardwareThreads()
 }
 
 /**
- * Worker-thread count for a single sharded simulation: the
+ * Case fan-out worker count for the thynvm_fuzz campaign: the
  * THYNVM_SIM_THREADS environment variable if set (>= 1), else 0
- * meaning "serial" — parallel stepping is strictly opt-in.
+ * (callers treat 0 as one worker).
  */
 inline unsigned
 simThreadsFromEnv()

@@ -70,12 +70,9 @@ class CrashPointRegistry
     /**
      * Announce one hit of @p site at tick @p now (controllers only).
      *
-     * Thread-safe: with a multi-channel System on the sharded kernel,
-     * channel shards announce their (channel-prefixed) sites from
-     * different worker threads. Site names are single-shard — each
-     * channel prefixes its own — so per-site hit ordinals stay
-     * deterministic; the lock only protects the shared map. Drivers
-     * read fired()/sites() after the kernel run has joined.
+     * Thread-safe: the lock protects the shared map. Each channel of
+     * a multi-channel System prefixes its own site names, so per-site
+     * hit ordinals follow that channel's own event order.
      */
     void
     hit(const char* site, Tick now)

@@ -226,10 +226,6 @@ runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
     CaseResult res;
     res.repro = formatRepro(c);
 
-    const unsigned env_ch = channelsFromEnv();
-    const unsigned eff_channels =
-        c.channels != 0 ? c.channels : (env_ch != 0 ? env_ch : 1);
-
     // Life 1: run the seeded workload into the armed crash plan.
     MicroWorkload inner1(microParams(fc, c.seed, c.workload));
     RecordingWorkload wl1(inner1);
@@ -239,59 +235,22 @@ runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
     reg.arm(c.site, c.hit, c.delta);
     cfg.crash_points = &reg;
     System sys(cfg, wl1);
-    std::vector<std::uint8_t> base;
-    std::shared_ptr<BackingStore> nvm;
-
-    if (eff_channels == 1) {
-        sys.start();
-        base = captureImage(sys, fc.phys_size);
-        EventQueue& eq = sys.eventq();
-        while (!sys.finished() && !reg.fired() && !eq.empty() &&
-               eq.now() < fc.run_limit) {
-            eq.step();
-        }
-        if (!reg.fired()) {
-            res.status = CaseStatus::NotReached;
-            return res;
-        }
-        // Land the power failure on a tick boundary: drain every event
-        // at or before the planned crash tick, then pull the plug.
-        while (!eq.empty() && eq.nextTick() <= reg.crashTick())
-            eq.step();
-        res.crash_tick = eq.now();
-        res.commits_before = sys.controller().completedEpochs();
-        nvm = sys.crash();
-    } else {
-        // A multi-channel run executes on the sharded kernel, which
-        // cannot be single-stepped against a fired() poll. Instead:
-        // profile an identical armed run to completion to learn the
-        // crash tick, then replay a fresh machine (the oracle's life 1)
-        // deterministically up to exactly that tick.
-        Tick cut;
-        {
-            CrashPointRegistry preg;
-            preg.arm(c.site, c.hit, c.delta);
-            MicroWorkload pinner(microParams(fc, c.seed, c.workload));
-            RecordingWorkload pwl(pinner);
-            SystemConfig pcfg = makeSystemConfig(fc, c.system,
-                                                 c.fast_path, c.channels);
-            pcfg.crash_points = &preg;
-            System psys(pcfg, pwl);
-            psys.start();
-            psys.run(fc.run_limit);
-            if (!preg.fired() || preg.crashTick() >= fc.run_limit) {
-                res.status = CaseStatus::NotReached;
-                return res;
-            }
-            cut = preg.crashTick();
-        }
-        sys.start();
-        base = captureImage(sys, fc.phys_size);
-        sys.runTo(cut);
-        res.crash_tick = sys.eventq().now();
-        res.commits_before = sys.controller().completedEpochs();
-        nvm = sys.crash();
+    sys.start();
+    const std::vector<std::uint8_t> base = captureImage(sys, fc.phys_size);
+    sys.run(fc.run_limit, [&reg] { return reg.fired(); });
+    // A multi-channel plan whose crash tick lies past the run limit is
+    // also unreached.
+    if (!reg.fired() ||
+        (sys.channels() > 1 && reg.crashTick() >= fc.run_limit)) {
+        res.status = CaseStatus::NotReached;
+        return res;
     }
+    // Land the power failure on a tick boundary: drain every event at
+    // or before the planned crash tick, then pull the plug.
+    sys.runTo(reg.crashTick());
+    res.crash_tick = sys.eventq().now();
+    res.commits_before = sys.controller().completedEpochs();
+    std::shared_ptr<BackingStore> nvm = sys.crash();
 
     // Life 2: reboot on the surviving NVM image and recover.
     MicroWorkload inner2(microParams(fc, c.seed, c.workload));

@@ -1,8 +1,8 @@
 /**
  * @file
  * Multi-channel group implementation: per-channel controller
- * construction, the functional mirror, the cross-channel epoch
- * coordinator, and kernel shard wiring.
+ * construction, the functional mirror, cross-channel messages, and the
+ * cross-channel epoch coordinator.
  */
 
 #include "harness/channel_group.hh"
@@ -18,19 +18,10 @@
 #include "baselines/shadow.hh"
 #include "core/layout.hh"
 #include "core/thynvm_controller.hh"
-#include "sim/shard.hh"
 
 namespace thynvm {
 
 namespace {
-
-/**
- * Mailbox bound for core<->channel links: one kernel window can carry
- * a whole cache-flush wave of writebacks (every dirty block of a 2 MB
- * L3 plus the upper levels), so size from the cache capacity with
- * ample slack rather than the kernel default.
- */
-constexpr std::size_t kLinkCapacity = std::size_t{1} << 16;
 
 /**
  * Global ThyNVM table sizes scaled down to one channel's share. Each
@@ -155,6 +146,7 @@ ChannelGroup::ChannelGroup(EventQueue& eq, std::string name,
     }
 
     mirror_ = PagedBytes(cfg_.phys_size);
+    link_fifo_.assign(2 * cfg_.channels, 0);
 
     chs_.reserve(cfg_.channels);
     for (unsigned i = 0; i < cfg_.channels; ++i) {
@@ -199,8 +191,8 @@ ChannelGroup::buildChannel(EventQueue& eq, unsigned i, std::size_t ch_phys,
                            std::shared_ptr<BackingStore> slice)
 {
     const std::string cname = name() + ".ch" + std::to_string(i);
-    // Per-channel crash-site prefixes keep every site single-shard so
-    // hit ordinals stay deterministic under parallel stepping.
+    // Per-channel crash-site prefixes give each channel its own site
+    // names (and hit ordinals).
     const std::string prefix = "ch" + std::to_string(i) + ".";
     auto resume = [this, i] { postToCore(i, [this] { resumeArrived(); }); };
 
@@ -256,29 +248,37 @@ ChannelGroup::buildChannel(EventQueue& eq, unsigned i, std::size_t ch_phys,
 }
 
 // ----------------------------------------------------------------------
-// Cross-shard message helpers.
+// Cross-channel messages.
 // ----------------------------------------------------------------------
+
+void
+ChannelGroup::send(EventQueue& target, Tick when, unsigned link,
+                   std::function<void()> fn)
+{
+    // The FIFO counters are never reset, so a message's key stays unique
+    // on its link however the run is sliced into run() calls.
+    std::uint64_t& fifo = link_fifo_[link];
+    panic_if(fifo >> 40, "channel link %u exhausted its 2^40 message "
+                         "order keys", link);
+    target.scheduleMessage(when,
+                           EventQueue::kMessageOrderBit |
+                               (std::uint64_t{link} << 40) | fifo++,
+                           std::move(fn));
+    ++messages_;
+}
 
 void
 ChannelGroup::postToChannel(unsigned i, std::function<void()> fn)
 {
-    panic_if(kernel_ == nullptr,
-             "cross-channel message with no kernel attached");
-    // The delivery tick is a pure function of simulated state: the
-    // kernel's admission check is against the target's window, which
-    // EOT planning keeps at or below any tick this shard can send at,
-    // and posting retreats this shard's own bound (sim/shard.hh).
-    const Tick when = curTick() + kChannelLookahead;
-    kernel_->post(core_shard_, chs_[i]->shard, when, std::move(fn));
+    send(*chs_[i]->eq, curTick() + kChannelLookahead, 2 * i,
+         std::move(fn));
 }
 
 void
 ChannelGroup::postToCore(unsigned i, std::function<void()> fn)
 {
-    panic_if(kernel_ == nullptr,
-             "cross-channel message with no kernel attached");
-    const Tick when = chs_[i]->eq->now() + kChannelLookahead;
-    kernel_->post(chs_[i]->shard, core_shard_, when, std::move(fn));
+    send(eventq_, chs_[i]->eq->now() + kChannelLookahead, 2 * i + 1,
+         std::move(fn));
 }
 
 // ----------------------------------------------------------------------
@@ -305,8 +305,8 @@ ChannelGroup::accessBlock(Addr paddr, bool is_write,
         mirror_.write(paddr, wdata, kBlockSize);
         // Group-level write-amplification denominator. (The per-epoch
         // histogram stays unsampled at group level: the media counters
-        // live on the channel shards and may not be quiescent at the
-        // commit barrier; each channel samples its own on its shard.)
+        // live on the channels, whose writes may still be in flight at
+        // the commit barrier; each channel samples its own.)
         noteAppWrite();
         auto data = std::make_shared<std::array<std::uint8_t, kBlockSize>>();
         std::memcpy(data->data(), wdata, kBlockSize);
@@ -392,7 +392,7 @@ ChannelGroup::loadImage(Addr paddr, const void* buf, std::size_t len)
 void
 ChannelGroup::start()
 {
-    halt_posted_ = false;
+    halted_ = false;
     for (auto& ch : chs_)
         ch->ctrl->start();
 }
@@ -412,7 +412,7 @@ ChannelGroup::crash()
     gate_arrived_ = 0;
     gate_phase_ = -1;
     resume_arrived_ = 0;
-    halt_posted_ = false;
+    halted_ = false;
     cpu_blob_.clear();
 }
 
@@ -504,13 +504,10 @@ ChannelGroup::recover(std::function<void()> done)
 void
 ChannelGroup::requestEpochEnd()
 {
-    for (unsigned i = 0; i < cfg_.channels; ++i) {
-        if (kernel_ != nullptr)
-            postToChannel(i,
-                          [this, i] { chs_[i]->ctrl->requestEpochEnd(); });
-        else
-            chs_[i]->ctrl->requestEpochEnd();
-    }
+    // A software-forced boundary from outside the stepping loop: every
+    // channel starts it at its own clock.
+    for (auto& ch : chs_)
+        ch->ctrl->requestEpochEnd();
 }
 
 void
@@ -560,42 +557,12 @@ ChannelGroup::dramTotalWriteBytes()
     return sum;
 }
 
-// ----------------------------------------------------------------------
-// Kernel wiring.
-// ----------------------------------------------------------------------
-
 void
-ChannelGroup::registerShards(ShardedKernel& kernel, unsigned core_shard,
-                             Tick limit, Tick cut)
+ChannelGroup::halt()
 {
-    kernel_ = &kernel;
-    core_shard_ = core_shard;
-    halt_posted_ = false;
-    for (auto& chp : chs_) {
-        Channel* ch = chp.get();
-        EventQueue* eq = ch->eq.get();
-        ch->shard = kernel.addShard(
-            ch->ctrl->name(), *eq, [eq, limit, cut](ShardWindow win) {
-                while (!eq->empty() && eq->nextTick() < win.end() &&
-                       eq->nextTick() <= cut && eq->now() < limit)
-                    eq->step();
-                return !eq->empty() && eq->nextTick() <= cut &&
-                       eq->now() < limit;
-            });
-        ch->ctrl->setShard(ch->shard);
-        kernel.link(core_shard, ch->shard, kChannelLookahead,
-                    kLinkCapacity);
-        kernel.link(ch->shard, core_shard, kChannelLookahead,
-                    kLinkCapacity);
-    }
-}
-
-void
-ChannelGroup::postHalt()
-{
-    if (halt_posted_ || kernel_ == nullptr)
+    if (halted_)
         return;
-    halt_posted_ = true;
+    halted_ = true;
     for (unsigned i = 0; i < cfg_.channels; ++i)
         postToChannel(i, [this, i] { chs_[i]->ctrl->halt(); });
 }

@@ -6,11 +6,13 @@
  *
  * The group presents the MemController interface to the cache
  * hierarchy, so the rest of the System is unchanged. Internally it owns
- * C channels, each with its *own* event queue: a channel is a kernel
- * shard of its own, so THYNVM_SIM_THREADS > 1 parallelizes a *single*
- * System run. Channels exchange messages with the core shard (CPU +
- * caches + group) over sharded-kernel links whose lookahead is the
- * device minimum access latency — the modeled channel-interconnect hop.
+ * C channels, each with its *own* event queue — the channel's clock.
+ * Channels exchange messages with the core queue (CPU + caches + group)
+ * over the modeled channel interconnect: every message is scheduled
+ * straight onto the target queue one kChannelLookahead hop after the
+ * sender's tick, and the System steps all queues in one serial loop in
+ * global tick order (System::run), so a send can never land behind its
+ * target's clock.
  *
  * Functional/timing split across the interconnect: the group keeps a
  * core-side functional mirror of the software-visible memory so reads
@@ -56,8 +58,6 @@
 
 namespace thynvm {
 
-class ShardedKernel;
-
 /**
  * A set of per-channel memory controllers behind one MemController
  * interface, with a cross-channel epoch coordinator.
@@ -68,8 +68,7 @@ class ChannelGroup : public MemController
     /**
      * Cross-channel lookahead: the channel-interconnect hop, modeled as
      * the device minimum access latency (a 40 ns row hit). Every
-     * core<->channel message takes one hop each direction; it floors
-     * the earliest-output-time windows the sharded kernel runs at.
+     * core<->channel message takes one hop each direction.
      */
     static constexpr Tick kChannelLookahead = 40 * kNanosecond;
 
@@ -86,8 +85,8 @@ class ChannelGroup : public MemController
     };
 
     /**
-     * @param eq the core shard's event queue (the group itself lives on
-     *        the core shard; channels own their queues).
+     * @param eq the core event queue (the group itself runs on the
+     *        core queue; channels own their queues).
      * @param nvm_store surviving NVM contents of the whole group for a
      *        post-crash reboot, or nullptr for a pristine machine. The
      *        group hands each channel a view slice of one root store, so
@@ -136,28 +135,16 @@ class ChannelGroup : public MemController
         resume_client_ = std::move(cb);
     }
 
-    // ------------------------------------------------------------------
-    // Kernel wiring (called by the System).
-    // ------------------------------------------------------------------
-
     /**
-     * Register every channel as a kernel shard, linked bidirectionally
-     * to @p core_shard with kChannelLookahead. Channel shards step
-     * until @p limit; @p cut additionally bounds the executed events to
-     * ticks <= cut (used by the fuzzer's deterministic crash cut).
+     * Halt every channel once the workload has finished (idempotent
+     * until the next start() or crash()): a halt message to each
+     * channel stops its epoch timer from re-arming, so the channel
+     * queues drain to empty.
      */
-    void registerShards(ShardedKernel& kernel, unsigned core_shard,
-                        Tick limit, Tick cut = kMaxTick);
+    void halt() override;
 
-    /** Forget the kernel after a run; messages fall back to panic. */
-    void detachKernel() { kernel_ = nullptr; }
-
-    /**
-     * Post a halt to every channel (idempotent): stop re-arming epoch
-     * timers so the channel queues drain and the kernel terminates.
-     * Must be called while the kernel is stepping the core shard.
-     */
-    void postHalt();
+    /** Cross-channel messages sent since construction (both ways). */
+    std::uint64_t messagesSent() const { return messages_; }
 
     unsigned channelCount() const { return cfg_.channels; }
     MemController& channelController(unsigned i)
@@ -172,8 +159,6 @@ class ChannelGroup : public MemController
     {
         std::unique_ptr<EventQueue> eq;
         std::unique_ptr<MemController> ctrl;
-        /** Kernel shard id of this channel (valid while attached). */
-        unsigned shard = 0;
         /** Deferred boundary-flush continuation (channel side). */
         std::function<void()> flush_run;
         /** Deferred commit-gate continuation (channel side). */
@@ -190,11 +175,17 @@ class ChannelGroup : public MemController
     /** Global config scaled down to one channel's share. */
     ThyNvmConfig channelThyNvmConfig(std::size_t ch_phys) const;
 
-    // Cross-shard message helpers; the delivery tick (sender's now +
-    // kChannelLookahead) always clears the target's admission window
-    // because EOT planning floors every window by exactly this bound.
+    /**
+     * Cross-channel message helpers: deliver @p fn on the target queue
+     * one kChannelLookahead hop after the sender's tick. Link 2*i is
+     * core->channel i and 2*i+1 is channel i->core; a message's order
+     * key is its link and that link's FIFO position, so same-tick
+     * deliveries run in a fixed order after every local event.
+     */
     void postToChannel(unsigned i, std::function<void()> fn);
     void postToCore(unsigned i, std::function<void()> fn);
+    void send(EventQueue& target, Tick when, unsigned link,
+              std::function<void()> fn);
 
     // Coordinator fan-ins (core side).
     void flushRequested(std::uint64_t seq);
@@ -208,9 +199,10 @@ class ChannelGroup : public MemController
     /** Core-side functional mirror of software-visible memory. */
     PagedBytes mirror_;
 
-    ShardedKernel* kernel_ = nullptr;
-    unsigned core_shard_ = 0;
-    bool halt_posted_ = false;
+    /** Per-link FIFO counters (never reset; see send()). */
+    std::vector<std::uint64_t> link_fifo_;
+    std::uint64_t messages_ = 0;
+    bool halted_ = false;
 
     // Coordinator state (core side only).
     unsigned flush_arrived_ = 0;

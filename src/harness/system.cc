@@ -10,7 +10,6 @@
 #include <ostream>
 
 #include "common/parallel.hh"
-#include "harness/shard_group.hh"
 
 namespace thynvm {
 
@@ -273,50 +272,79 @@ System::recoverAndResume()
 }
 
 Tick
-System::run(Tick duration)
+System::latestTick() const
 {
-    const Tick limit =
-        duration == kMaxTick ? kMaxTick : eq_.now() + duration;
-    const unsigned threads = simThreads();
-    // A multi-channel topology always runs on the sharded kernel (its
-    // channel queues are shards), even with one worker thread — the
-    // kernel's one-worker schedule is the serial reference.
-    if (threads > 1 || group_ != nullptr) {
-        SystemGroup group;
-        group.add(*this);
-        group.run(threads, limit);
-        kernel_windows_ = group.windowsExecuted();
-        kernel_messages_ = group.messagesDelivered();
+    Tick t = eq_.now();
+    for (unsigned i = 0; i < channels_; ++i)
+        t = std::max(t, group_->channelEventq(i).now());
+    return t;
+}
+
+template <typename Stop>
+void
+System::stepQueues(Tick limit, Tick cut, Stop&& stop)
+{
+    // Every cross-channel message lands one interconnect hop after its
+    // sender's tick, so executing the earliest pending event first
+    // never delivers a message behind its target's clock. Like the
+    // one-channel loop, the step that reaches the limit is the last.
+    Tick clock = latestTick();
+    while (clock < limit) {
+        // A finished workload halts the channels once, so their epoch
+        // timers stop re-arming and their queues drain.
+        if (cpu_->finished())
+            group_->halt();
+        EventQueue* next = &eq_;
+        Tick when = cpu_->finished() ? kMaxTick : eq_.nextTick();
+        for (unsigned i = 0; i < channels_; ++i) {
+            EventQueue& q = group_->channelEventq(i);
+            if (q.nextTick() < when) {
+                next = &q;
+                when = q.nextTick();
+            }
+        }
+        if (when == kMaxTick || when > cut)
+            return;
+        next->step();
+        clock = when;
+        if (stop())
+            return;
+    }
+}
+
+template <typename Stop>
+Tick
+System::advance(Tick duration, Stop&& stop)
+{
+    if (group_ == nullptr) {
+        const Tick limit =
+            duration == kMaxTick ? kMaxTick : eq_.now() + duration;
+        while (!cpu_->finished() && eq_.now() < limit && !eq_.empty()) {
+            eq_.step();
+            if (stop())
+                break;
+        }
         return eq_.now();
     }
-    while (!cpu_->finished() && eq_.now() < limit && !eq_.empty())
-        eq_.step();
+    const Tick from = latestTick();
+    const Tick limit =
+        duration > kMaxTick - from ? kMaxTick : from + duration;
+    const std::uint64_t sent = group_->messagesSent();
+    stepQueues(limit, kMaxTick, stop);
+    kernel_messages_ = group_->messagesSent() - sent;
     return eq_.now();
 }
 
-unsigned
-System::registerShards(ShardedKernel& kernel, Tick limit)
+Tick
+System::run(Tick duration)
 {
-    const unsigned core = kernel.addShard(
-        controller_->name(), eq_, [this, limit](ShardWindow win) {
-            const bool more = stepWindow(win, limit);
-            // A finished workload halts the channels so their epoch
-            // timers stop re-arming and the kernel can terminate.
-            if (group_ != nullptr && cpu_->finished())
-                group_->postHalt();
-            return more;
-        });
-    setShard(core);
-    if (group_ != nullptr)
-        group_->registerShards(kernel, core, limit);
-    return core;
+    return advance(duration, [] { return false; });
 }
 
-void
-System::detachKernel()
+Tick
+System::run(Tick duration, const std::function<bool()>& stop)
 {
-    if (group_ != nullptr)
-        group_->detachKernel();
+    return advance(duration, stop);
 }
 
 void
@@ -327,59 +355,7 @@ System::runTo(Tick cut)
             eq_.step();
         return;
     }
-    // Bounded kernel run: every shard executes exactly the events with
-    // tick <= cut that a full run would execute — the deterministic
-    // prefix. The step conditions (including the finished-workload
-    // halt) mirror registerShards() exactly, so the window schedule
-    // and every message-delivery tick agree with the full run up to
-    // the cut.
-    ShardedKernel kernel;
-    const unsigned core = kernel.addShard(
-        controller_->name(), eq_, [this, cut](ShardWindow win) {
-            while (!cpu_->finished() && !eq_.empty() &&
-                   eq_.nextTick() < win.end() && eq_.nextTick() <= cut)
-                eq_.step();
-            if (cpu_->finished())
-                group_->postHalt();
-            return !cpu_->finished() && !eq_.empty() &&
-                   eq_.nextTick() <= cut;
-        });
-    setShard(core);
-    group_->registerShards(kernel, core, kMaxTick, cut);
-    kernel.setBarrierPeriod(cfg_.epoch_length);
-    kernel.run(simThreads());
-    detachKernel();
-}
-
-bool
-System::stepWindow(ShardWindow win, Tick limit)
-{
-    // win.end() is re-read every iteration: posting retreats the live
-    // bound mid-window (sim/shard.hh).
-    while (!cpu_->finished() && eq_.now() < limit && !eq_.empty() &&
-           eq_.nextTick() < win.end())
-        eq_.step();
-    return !cpu_->finished() && eq_.now() < limit && !eq_.empty();
-}
-
-void
-System::setShard(unsigned shard)
-{
-    cpu_->setShard(shard);
-    if (cfg_.use_caches) {
-        l1_->setShard(shard);
-        l2_->setShard(shard);
-        l3_->setShard(shard);
-    }
-    controller_->setShard(shard); // propagates to its devices
-}
-
-unsigned
-System::simThreads() const
-{
-    const unsigned threads = cfg_.sim_threads != 0 ? cfg_.sim_threads
-                                                   : simThreadsFromEnv();
-    return threads == 0 ? 1 : threads;
+    stepQueues(kMaxTick, cut, [] { return false; });
 }
 
 std::shared_ptr<BackingStore>

@@ -27,7 +27,6 @@
 #include "cpu/cpu.hh"
 #include "harness/channel_group.hh"
 #include "harness/system_kind.hh"
-#include "sim/shard.hh"
 
 namespace thynvm {
 
@@ -44,14 +43,7 @@ struct SystemConfig
     /** Include the 3-level cache hierarchy (Table 2). */
     bool use_caches = true;
 
-    /**
-     * Worker threads for the sharded event kernel when this system is
-     * run standalone: 0 defers to the THYNVM_SIM_THREADS environment
-     * variable (unset = serial), 1 forces the serial stepping loop,
-     * >1 steps the system's shards on a worker pool in conservative
-     * windows (sim/shard.hh). Any value produces byte-identical stats;
-     * this is the escape hatch back to serial if it ever does not.
-     */
+    /** Ignored; kept only because the layered benchmark sets it. */
     unsigned sim_threads = 0;
 
     /**
@@ -60,10 +52,7 @@ struct SystemConfig
      * single-controller topology, >1 (a power of two) interleaves the
      * physical space over that many channels at cache-block
      * granularity, each channel an independent controller + device set
-     * on its own kernel shard (harness/channel_group.hh). Combined
-     * with sim_threads / THYNVM_SIM_THREADS > 1 this parallelizes a
-     * *single* System run; stats stay byte-identical at every thread
-     * count for a fixed channel count.
+     * with its own event queue (harness/channel_group.hh).
      */
     unsigned channels = 0;
 
@@ -131,61 +120,36 @@ class System
 
     /**
      * Advance simulation until the workload finishes or @p duration
-     * ticks elapse. @return current tick.
+     * ticks elapse. @return the core queue's tick.
      *
-     * With an effective sim-thread count above one (sim_threads /
-     * THYNVM_SIM_THREADS), the run is executed on the sharded kernel
-     * via a single-system SystemGroup; event order and stats are
-     * byte-identical to the serial loop.
+     * A multi-channel topology steps the core queue (while the workload
+     * is unfinished) and every channel queue in one serial loop, always
+     * executing the earliest pending event; @p duration is measured
+     * from the latest tick any queue has reached. Once the workload
+     * finishes the channels are halted, and they drain in later steps.
      */
     Tick run(Tick duration = kMaxTick);
 
     /**
-     * Step this system inside one kernel window: execute events with
-     * tick strictly below the live bound @p win (re-read per event —
-     * posting retreats it), stopping early when the workload finishes,
-     * the queue drains, or @p limit is passed — exactly the serial
-     * run() loop, bounded by the window.
-     * @return true if the system can still make progress.
+     * run(), but stop as soon as @p stop returns true after an executed
+     * event (the fuzzer stops at its armed crash-site hit).
      */
-    bool stepWindow(ShardWindow win, Tick limit);
-
-    /**
-     * Tag every component of this system with a kernel shard id. The
-     * whole single-channel machine is one shard: all its components
-     * exchange same-tick calls.
-     */
-    void setShard(unsigned shard);
-
-    /**
-     * Register this system's shards with @p kernel: the core shard
-     * (CPU + caches + controller front-end) plus, on a multi-channel
-     * topology, one shard per channel linked to the core with the
-     * cross-channel lookahead. @return the core shard id.
-     */
-    unsigned registerShards(ShardedKernel& kernel, Tick limit);
-
-    /** Forget the kernel after a sharded run. */
-    void detachKernel();
+    Tick run(Tick duration, const std::function<bool()>& stop);
 
     /**
      * Deterministically execute exactly the events with tick <= @p cut
-     * (the fuzzer's crash-cut replay). Multi-channel topologies run a
-     * bounded kernel; the executed prefix is identical to a full run
-     * truncated at @p cut.
+     * (the fuzzer's crash cut). On a multi-channel topology the core
+     * queue stops when the workload finishes, exactly like run().
      */
     void runTo(Tick cut);
 
     /** Effective channel count of this topology (>= 1). */
     unsigned channels() const { return channels_; }
 
-    /** Effective sharded-kernel worker count for standalone runs. */
-    unsigned simThreads() const;
-
-    /** Kernel windows executed by the last sharded run() (0 when the
-     *  run used the plain serial loop). */
-    std::uint64_t kernelWindows() const { return kernel_windows_; }
-    /** Cross-shard messages delivered by the last sharded run(). */
+    /** Always 0; kept only because the layered benchmark reports it. */
+    std::uint64_t kernelWindows() const { return 0; }
+    /** Cross-channel messages sent by the last run(); kept only
+     *  because the layered benchmark reports it. */
     std::uint64_t kernelMessages() const { return kernel_messages_; }
 
     /** True once the workload finished. */
@@ -233,6 +197,18 @@ class System
     void buildAboveController();
     void wireFlushClient();
     void flushCaches(std::function<void()> done);
+    template <typename Stop>
+    Tick advance(Tick duration, Stop&& stop);
+    /** Latest tick any of this machine's queues has reached. */
+    Tick latestTick() const;
+    /**
+     * The multi-channel stepping loop: execute the earliest pending
+     * event over the core queue (while the workload is unfinished) and
+     * every channel queue, while the latest tick reached is below
+     * @p limit, the event's tick is <= @p cut, and @p stop is false.
+     */
+    template <typename Stop>
+    void stepQueues(Tick limit, Tick cut, Stop&& stop);
 
     SystemConfig cfg_;
     Workload& workload_;
@@ -246,7 +222,6 @@ class System
     std::unique_ptr<Cache> l1_;
     std::unique_ptr<TraceCpu> cpu_;
     Tick start_tick_ = 0;
-    std::uint64_t kernel_windows_ = 0;
     std::uint64_t kernel_messages_ = 0;
 };
 

@@ -206,7 +206,7 @@ class MemController : public SimObject, public BlockAccessor
      * Stop initiating new epoch boundaries (a finished workload is
      * being drained). An in-flight checkpoint still completes; only
      * timer re-arming is suppressed, so a halted channel's event queue
-     * drains to empty and the sharded kernel can terminate.
+     * drains to empty.
      */
     virtual void halt() {}
 
@@ -244,28 +244,12 @@ class MemController : public SimObject, public BlockAccessor
 
     /**
      * Prefix every crash-site name this controller announces (e.g.
-     * "ch2."). Per-channel prefixes keep each site single-shard, so
-     * hit ordinals stay deterministic when channel shards run on
-     * different worker threads.
+     * "ch2."). Per-channel prefixes give each channel of a
+     * multi-channel group its own sites and hit ordinals.
      */
     void setCrashSitePrefix(std::string prefix)
     {
         site_prefix_ = std::move(prefix);
-    }
-
-    /**
-     * Shard affinity: a controller and the devices it drives exchange
-     * same-tick calls (zero-copy enqueue, completion callbacks), so
-     * they must always be stepped by the same kernel shard.
-     */
-    void
-    setShard(unsigned shard) override
-    {
-        SimObject::setShard(shard);
-        if (MemDevice* d = nvmDevice())
-            d->setShard(shard);
-        if (MemDevice* d = dramDevice())
-            d->setShard(shard);
     }
 
     /** NVM device, if this controller has one (for traffic metrics). */
@@ -390,7 +374,7 @@ class MemController : public SimObject, public BlockAccessor
 
     /**
      * Sample the per-epoch write-amplification histogram; called right
-     * after each ++epochs_ on the controller's own shard. Epochs with
+     * after each ++epochs_ on the controller's own queue. Epochs with
      * no application writes are skipped (an empty epoch's fixed
      * metadata cost would make the ratio meaningless).
      */

@@ -15,9 +15,9 @@
  * Concurrency contract (matches how simulated stores are used):
  *  - Concurrent writers to *disjoint byte ranges* are safe: first-touch
  *    page allocation races are resolved with a CAS on the table slot,
- *    and the byte writes themselves never overlap. A multi-channel
- *    machine writes disjoint channel slices of one root store from
- *    per-channel kernel shards.
+ *    and the byte writes themselves never overlap. (A multi-channel
+ *    machine writes disjoint channel slices of one root store, today
+ *    from one thread.)
  *  - Concurrent readers of ranges not being written are safe.
  *  - Copying (COW share), clear() and touched-set enumeration require
  *    quiescence; they happen at crash, recovery, and test time only.

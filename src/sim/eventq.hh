@@ -204,24 +204,21 @@ class EventQueue
     }
 
     /**
-     * High bit of a cross-shard delivery order key. Locally scheduled
+     * High bit of a cross-queue message order key. Locally scheduled
      * callbacks draw their tie-break sequence from a counter that can
      * never reach this bit, so a delivery sorts after every local
      * callback of the same tick — "traffic arrives at the end of the
-     * tick" — no matter when the kernel's drain physically ran.
+     * tick" — no matter when the sender scheduled it.
      */
     static constexpr std::uint64_t kMessageOrderBit = 1ull << 63;
 
     /**
-     * Schedule a cross-shard message delivery at absolute tick @p when
+     * Schedule a message from another queue at absolute tick @p when
      * with an explicit tie-break key in place of the arrival sequence
-     * number. The sharded kernel builds @p order_key from the link id
-     * and the per-link FIFO index (with kMessageOrderBit set), both
-     * pure functions of simulated state — so the execution order of
-     * deliveries is independent of the host-side window schedule that
-     * drained them. That is what lets window policies (fixed lookahead
-     * vs earliest-output-time widening) vary freely while stats stay
-     * byte-identical.
+     * number. A multi-channel ChannelGroup builds @p order_key from
+     * the link id and the per-link FIFO index (with kMessageOrderBit
+     * set), both pure functions of simulated state, so same-tick
+     * deliveries execute in a fixed order.
      */
     template <typename F>
     void

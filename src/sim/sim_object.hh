@@ -42,24 +42,12 @@ class SimObject
     /** Current simulated time. */
     Tick curTick() const { return eventq_.now(); }
 
-    /**
-     * Shard affinity: which event-kernel shard this component's state
-     * belongs to (sim/shard.hh). All state a component touches from
-     * its events must live on the same shard, because only that
-     * shard's worker may run between window barriers. Components that
-     * own sub-components override this to propagate the tag.
-     */
-    virtual void setShard(unsigned shard) { shard_ = shard; }
-    /** Shard this component is stepped by (0 until assigned). */
-    unsigned shard() const { return shard_; }
-
   protected:
     EventQueue& eventq_;
 
   private:
     std::string name_;
     stats::Group stats_;
-    unsigned shard_ = 0;
 };
 
 } // namespace thynvm

@@ -11,10 +11,9 @@
  *     files predate the multi-channel topology, so `channels = 1` is
  *     bit-for-bit the seed machine.
  *
- *  2. A multi-channel System executes on per-channel kernel shards,
- *     and its dumpStats() and final tick are byte-identical to the
- *     serial (threads = 1) stepping of the same topology at every
- *     worker thread count.
+ *  2. Slicing a multi-channel run into many run(d) calls executes
+ *     exactly the events of one call: dumpStats() and the final tick
+ *     are byte-identical.
  */
 
 #include "tests/test_util.hh"
@@ -209,97 +208,36 @@ TEST(ChannelEquivalence, SingleChannelMatchesPreChangeGoldens)
 }
 
 /**
- * The tentpole determinism contract: a multi-channel topology (each
- * channel its own kernel shard) produces byte-identical dumpStats and
- * final ticks at every worker thread count, for every channel count
- * and every system kind.
+ * run(d) measures its limit from the latest tick any queue has
+ * reached, so a channel can never step past the core between slices:
+ * 37 us slices (then one call to drain the halted channels) end in the
+ * byte-identical state of a single call, for every kind at 2 and 4
+ * channels.
  */
-TEST(ChannelEquivalence, MultiChannelDeterministicAcrossThreadCounts)
+TEST(ChannelEquivalence, SlicedRunsMatchOneCall)
 {
     for (SystemKind kind : allKinds()) {
         for (unsigned channels : {2u, 4u}) {
             SystemConfig cfg = smallConfig(kind);
             cfg.channels = channels;
-            // Short epochs so the run crosses several coordinated
-            // boundaries (the micro run lasts ~600 us of sim time).
             cfg.epoch_length = 100 * kMicrosecond;
-            cfg.sim_threads = 1;
-            const RunResult serial = runOne(Family::MicroRandom, cfg);
-            ASSERT_TRUE(serial.finished)
+            const RunResult whole = runOne(Family::MicroRandom, cfg);
+
+            auto wl = makeWorkload(Family::MicroRandom);
+            System sys(cfg, *wl);
+            sys.start();
+            for (int slice = 0; slice < 1000000 && !sys.finished();
+                 ++slice)
+                sys.run(37 * kMicrosecond);
+            ASSERT_TRUE(sys.finished())
                 << kindToken(kind) << " channels=" << channels;
-            for (unsigned threads : {2u, 4u}) {
-                cfg.sim_threads = threads;
-                const RunResult par = runOne(Family::MicroRandom, cfg);
-                EXPECT_EQ(par.final_tick, serial.final_tick)
-                    << kindToken(kind) << " channels=" << channels
-                    << " threads=" << threads;
-                EXPECT_EQ(par.stats, serial.stats)
-                    << kindToken(kind) << " channels=" << channels
-                    << " threads=" << threads
-                    << ": sharded run diverged from the one-worker "
-                       "schedule";
-            }
-        }
-    }
-}
-
-/** Scoped environment override (nullptr clears); the previous value
- *  is restored on destruction. */
-struct EnvGuard
-{
-    EnvGuard(const char* name, const char* value) : name_(name)
-    {
-        if (const char* old = std::getenv(name)) {
-            had_old_ = true;
-            old_ = old;
-        }
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~EnvGuard()
-    {
-        if (had_old_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-    const char* name_;
-    std::string old_;
-    bool had_old_ = false;
-};
-
-/**
- * Earliest-output-time window widening is host-side scheduling only:
- * for every channel count and worker count, a run with widening on is
- * byte-identical (dumpStats and final tick) to the same run under the
- * THYNVM_NO_EOT fixed-lookahead fallback.
- */
-TEST(ChannelEquivalence, EotModesByteIdenticalAcrossChannelsAndThreads)
-{
-    for (unsigned channels : {1u, 2u, 4u}) {
-        SystemConfig cfg = smallConfig(SystemKind::ThyNvm);
-        cfg.channels = channels;
-        cfg.epoch_length = 100 * kMicrosecond;
-        RunResult widened;
-        {
-            EnvGuard on("THYNVM_NO_EOT", nullptr); // widening on
-            cfg.sim_threads = 1;
-            widened = runOne(Family::MicroRandom, cfg);
-        }
-        ASSERT_TRUE(widened.finished) << "channels=" << channels;
-        EnvGuard off("THYNVM_NO_EOT", "1");
-        for (unsigned threads : {1u, 2u, 4u}) {
-            cfg.sim_threads = threads;
-            const RunResult narrow = runOne(Family::MicroRandom, cfg);
-            EXPECT_TRUE(narrow.finished)
-                << "channels=" << channels << " threads=" << threads;
-            EXPECT_EQ(narrow.final_tick, widened.final_tick)
-                << "channels=" << channels << " threads=" << threads;
-            EXPECT_EQ(narrow.stats, widened.stats)
-                << "channels=" << channels << " threads=" << threads
-                << ": THYNVM_NO_EOT=1 diverged from the widened run";
+            const Tick final_tick = sys.run();
+            std::ostringstream os;
+            sys.dumpStats(os);
+            EXPECT_EQ(final_tick, whole.final_tick)
+                << kindToken(kind) << " channels=" << channels;
+            EXPECT_EQ(os.str(), whole.stats)
+                << kindToken(kind) << " channels=" << channels;
         }
     }
 }
@@ -318,7 +256,6 @@ TEST(ChannelEquivalence, CoordinatedEpochsComplete)
         SystemConfig cfg = smallConfig(kind);
         cfg.channels = 2;
         cfg.epoch_length = 100 * kMicrosecond;
-        cfg.sim_threads = 2;
         auto wl = makeWorkload(Family::MicroRandom);
         System sys(cfg, *wl);
         sys.start();

@@ -399,11 +399,7 @@ struct SweepPlan
     Tick delta = 0;
 };
 
-/**
- * Crash tick of @p plan on a multi-channel machine. The sharded kernel
- * cannot be single-stepped against a fired() poll, so an identical
- * armed run is profiled to completion instead.
- */
+/** Crash tick of @p plan on a multi-channel machine. */
 Tick
 profileCrashTick(const fuzz::FuzzerConfig& fc, SystemKind kind,
                  unsigned channels, std::uint64_t seed,
@@ -417,7 +413,7 @@ profileCrashTick(const fuzz::FuzzerConfig& fc, SystemKind kind,
     cfg.crash_points = &reg;
     System sys(cfg, wl);
     sys.start();
-    sys.run(fc.run_limit);
+    sys.run(fc.run_limit, [&reg] { return reg.fired(); });
     EXPECT_TRUE(reg.fired())
         << plan.site << " did not fire on the armed profile run";
     return reg.crashTick();

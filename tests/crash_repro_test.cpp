@@ -11,7 +11,6 @@
 
 #include "tests/test_util.hh"
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -194,85 +193,6 @@ TEST(CrashRepro, CampaignIsThreadCountInvariant)
         expectSameCampaign(serial, parallel,
                            threads == 2 ? "threads=2" : "threads=4");
         EXPECT_EQ(log.str(), serial_log.str());
-    }
-}
-
-/** Scoped environment override; the previous value is restored on
- *  destruction (so CI legs that set the variable for the whole binary
- *  keep it afterwards). */
-struct EnvGuard
-{
-    EnvGuard(const char* name, const char* value) : name_(name)
-    {
-        if (const char* old = std::getenv(name)) {
-            had_old_ = true;
-            old_ = old;
-        }
-        ::setenv(name, value, 1);
-    }
-    ~EnvGuard()
-    {
-        if (had_old_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-    const char* name_;
-    std::string old_;
-    bool had_old_ = false;
-};
-
-/**
- * Running the campaign while THYNVM_SIM_THREADS routes every simulated
- * System through the sharded kernel must not change a single repro
- * string or oracle verdict: crash sites fire at the same ticks whether
- * the event loop is stepped serially or in lookahead windows.
- */
-TEST(CrashRepro, CampaignInvariantUnderSimThreadsEnv)
-{
-    FuzzerConfig fc;
-    CampaignOptions opts; // defaults: the full tier-1 campaign
-
-    const CampaignResult base = runCampaign(fc, opts, nullptr, 1);
-    EXPECT_FALSE(base.repros.empty());
-
-    // Every simulated System inside every case now runs through the
-    // sharded kernel; case fan-out runs on 2 workers on top of that.
-    EnvGuard env("THYNVM_SIM_THREADS", "4");
-    const CampaignResult sharded = runCampaign(fc, opts, nullptr, 2);
-    expectSameCampaign(base, sharded, "THYNVM_SIM_THREADS=4");
-}
-
-/**
- * The 2-channel campaign (per-channel chK.* sites plus cross-channel
- * group.* barrier sites) re-run with every simulated System sharded
- * across THYNVM_SIM_THREADS=4 workers: the earliest-output-time window
- * schedule must not move a single crash tick or change any recovery
- * image, with widening on and with the THYNVM_NO_EOT fallback.
- */
-TEST(CrashRepro, MultiChannelCampaignInvariantUnderSimThreadsEnv)
-{
-    FuzzerConfig fc;
-    CampaignOptions opts;
-    opts.channels = 2;
-
-    const CampaignResult base = runCampaign(fc, opts, nullptr, 1);
-    EXPECT_FALSE(base.repros.empty());
-    EXPECT_TRUE(base.violations.empty());
-
-    {
-        EnvGuard env("THYNVM_SIM_THREADS", "4");
-        const CampaignResult sharded = runCampaign(fc, opts, nullptr, 2);
-        expectSameCampaign(base, sharded,
-                           "channels=2 THYNVM_SIM_THREADS=4");
-    }
-    {
-        EnvGuard threads("THYNVM_SIM_THREADS", "4");
-        EnvGuard no_eot("THYNVM_NO_EOT", "1");
-        const CampaignResult narrow = runCampaign(fc, opts, nullptr, 2);
-        expectSameCampaign(base, narrow,
-                           "channels=2 THYNVM_SIM_THREADS=4 "
-                           "THYNVM_NO_EOT=1");
     }
 }
 

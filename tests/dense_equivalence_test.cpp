@@ -9,8 +9,8 @@
  *  1. Clean runs: micro / KV / SPEC on all seven system kinds —
  *     dumpStats, final tick, and the final functional memory image are
  *     byte-identical between the two store implementations.
- *  2. Topology: the same holds on multi-channel systems at every
- *     worker-thread count (the store is shared by per-channel shards).
+ *  2. Topology: the same holds on multi-channel systems (the store is
+ *     carved into per-channel views of one root store).
  *  3. Crash recovery: a representative crash case per system recovers
  *     to the byte-identical image and resumes to the identical final
  *     image under both stores.
@@ -177,37 +177,31 @@ TEST(DenseEquivalence, AllKindsAllFamiliesByteIdentical)
 }
 
 /**
- * Axis 2: multi-channel topologies at every worker count. The root
- * store is carved into per-channel views written by concurrent kernel
- * shards — exactly the store's disjoint-writer contract.
+ * Axis 2: multi-channel topologies. The root store is carved into
+ * per-channel views, each written by its own channel.
  */
 TEST(DenseEquivalence, MultiChannelWorkerSweepByteIdentical)
 {
     for (unsigned channels : {1u, 2u, 4u}) {
-        for (unsigned threads : {1u, 2u, 4u}) {
-            SystemConfig cfg = smallConfig(SystemKind::ThyNvm);
-            cfg.channels = channels;
-            cfg.epoch_length = 100 * kMicrosecond;
-            cfg.sim_threads = threads;
-            RunResult paged;
-            {
-                test::EnvGuard off("THYNVM_DENSE_STORE", nullptr);
-                paged = runOne(Family::MicroRandom, cfg);
-            }
-            RunResult dense;
-            {
-                test::EnvGuard on("THYNVM_DENSE_STORE", "1");
-                dense = runOne(Family::MicroRandom, cfg);
-            }
-            ASSERT_TRUE(paged.finished && dense.finished)
-                << "channels=" << channels << " threads=" << threads;
-            EXPECT_EQ(paged.final_tick, dense.final_tick)
-                << "channels=" << channels << " threads=" << threads;
-            EXPECT_EQ(paged.stats, dense.stats)
-                << "channels=" << channels << " threads=" << threads;
-            EXPECT_EQ(paged.image, dense.image)
-                << "channels=" << channels << " threads=" << threads;
+        SystemConfig cfg = smallConfig(SystemKind::ThyNvm);
+        cfg.channels = channels;
+        cfg.epoch_length = 100 * kMicrosecond;
+        RunResult paged;
+        {
+            test::EnvGuard off("THYNVM_DENSE_STORE", nullptr);
+            paged = runOne(Family::MicroRandom, cfg);
         }
+        RunResult dense;
+        {
+            test::EnvGuard on("THYNVM_DENSE_STORE", "1");
+            dense = runOne(Family::MicroRandom, cfg);
+        }
+        ASSERT_TRUE(paged.finished && dense.finished)
+            << "channels=" << channels;
+        EXPECT_EQ(paged.final_tick, dense.final_tick)
+            << "channels=" << channels;
+        EXPECT_EQ(paged.stats, dense.stats) << "channels=" << channels;
+        EXPECT_EQ(paged.image, dense.image) << "channels=" << channels;
     }
 }
 

@@ -4,7 +4,7 @@
 #   cmake -DFUZZ=<thynvm_fuzz> -DCHANNELS=<n> -DGOLDEN=<file>
 #         -P fuzz_summary.cmake
 #
-# The summary is identical for any thread count, window policy and
+# The summary is identical for any case fan-out thread count and
 # THYNVM_CHANNELS setting, so any difference is a behaviour change.
 execute_process(
     COMMAND ${FUZZ} --channels ${CHANNELS}

@@ -65,7 +65,7 @@ TEST(ParallelForTest, SharedPoolOverloadCoversEveryIndex)
 {
     ThreadPool pool(3);
     std::vector<std::atomic<int>> hits(17);
-    // Reuse one pool across rounds, as the shard kernel does.
+    // Reuse one pool across rounds.
     for (int round = 0; round < 4; ++round)
         parallelForOn(pool, hits.size(),
                       [&hits](std::size_t i) { ++hits[i]; });
@@ -86,91 +86,6 @@ TEST(CountdownLatchTest, WaitReturnsAfterAllArrivals)
     }
     latch.wait();
     EXPECT_EQ(done.load(), 10);
-}
-
-TEST(BarrierTest, RendezvousAcrossGenerations)
-{
-    const unsigned parties = 4;
-    const int rounds = 50;
-    Barrier barrier(parties);
-    // Per-thread counters: after every barrier, all counters must agree.
-    std::vector<std::atomic<int>> counts(parties);
-    std::atomic<bool> mismatch{false};
-    std::vector<std::thread> threads;
-    for (unsigned p = 0; p < parties; ++p) {
-        threads.emplace_back([&, p] {
-            for (int r = 0; r < rounds; ++r) {
-                ++counts[p];
-                barrier.arriveAndWait();
-                for (unsigned q = 0; q < parties; ++q) {
-                    if (counts[q].load() < r + 1)
-                        mismatch = true;
-                }
-                barrier.arriveAndWait();
-            }
-        });
-    }
-    for (auto& t : threads)
-        t.join();
-    EXPECT_FALSE(mismatch.load());
-}
-
-TEST(SpinBarrierTest, RendezvousAcrossGenerations)
-{
-    // Same contract as BarrierTest, enough rounds to exercise the
-    // spin, yield, and (on an oversubscribed host) blocking paths.
-    const unsigned parties = 4;
-    const int rounds = 200;
-    SpinBarrier barrier(parties);
-    std::vector<std::atomic<int>> counts(parties);
-    std::atomic<bool> mismatch{false};
-    std::vector<std::thread> threads;
-    for (unsigned p = 0; p < parties; ++p) {
-        threads.emplace_back([&, p] {
-            for (int r = 0; r < rounds; ++r) {
-                ++counts[p];
-                barrier.arriveAndWait();
-                for (unsigned q = 0; q < parties; ++q) {
-                    if (counts[q].load() < r + 1)
-                        mismatch = true;
-                }
-                barrier.arriveAndWait();
-            }
-        });
-    }
-    for (auto& t : threads)
-        t.join();
-    EXPECT_FALSE(mismatch.load());
-}
-
-TEST(SpinBarrierTest, PublishesWritesAcrossTheBarrier)
-{
-    // Non-atomic data written before arriving must be visible to every
-    // party after the barrier opens (the shard kernel hands worker-
-    // written shard state to the coordinator this way).
-    const unsigned parties = 3;
-    const int rounds = 100;
-    SpinBarrier release(parties);
-    SpinBarrier join(parties);
-    std::vector<int> slots(parties, -1);
-    std::atomic<bool> bad{false};
-    std::vector<std::thread> threads;
-    for (unsigned p = 0; p < parties; ++p) {
-        threads.emplace_back([&, p] {
-            for (int r = 0; r < rounds; ++r) {
-                slots[p] = r;
-                release.arriveAndWait();
-                for (unsigned q = 0; q < parties; ++q) {
-                    if (slots[q] != r)
-                        bad = true;
-                }
-                join.arriveAndWait();
-            }
-        });
-    }
-    for (auto& t : threads)
-        t.join();
-    EXPECT_FALSE(bad.load());
 }
 
 // ---------------------------------------------------------------------
