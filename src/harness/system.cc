@@ -290,12 +290,14 @@ System::stepQueues(Tick limit, Tick cut, Stop&& stop)
     // one-channel loop, the step that reaches the limit is the last.
     Tick clock = latestTick();
     while (clock < limit) {
+        EventQueue* next = &eq_;
+        Tick when = kMaxTick;
         // A finished workload halts the channels once, so their epoch
         // timers stop re-arming and their queues drain.
         if (cpu_->finished())
             group_->halt();
-        EventQueue* next = &eq_;
-        Tick when = cpu_->finished() ? kMaxTick : eq_.nextTick();
+        else
+            when = eq_.nextTick();
         for (unsigned i = 0; i < channels_; ++i) {
             EventQueue& q = group_->channelEventq(i);
             if (q.nextTick() < when) {
