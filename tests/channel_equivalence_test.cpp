@@ -12,8 +12,9 @@
  *     bit-for-bit the seed machine.
  *
  *  2. Slicing a multi-channel run into many run(d) calls executes
- *     exactly the events of one call: dumpStats() and the final tick
- *     are byte-identical.
+ *     exactly the events of one call, and the ignored sim_threads knob
+ *     changes nothing: dumpStats() and the final tick are
+ *     byte-identical.
  */
 
 #include "tests/test_util.hh"
@@ -238,6 +239,36 @@ TEST(ChannelEquivalence, SlicedRunsMatchOneCall)
                 << kindToken(kind) << " channels=" << channels;
             EXPECT_EQ(os.str(), whole.stats)
                 << kindToken(kind) << " channels=" << channels;
+        }
+    }
+}
+
+/**
+ * SystemConfig::sim_threads is ignored: a multi-channel System steps
+ * all its queues on one thread, so any worker count leaves dumpStats
+ * and the final tick byte-identical, for every kind at 2 and 4
+ * channels.
+ */
+TEST(ChannelEquivalence, MultiChannelDeterministicAcrossThreadCounts)
+{
+    for (SystemKind kind : allKinds()) {
+        for (unsigned channels : {2u, 4u}) {
+            SystemConfig cfg = smallConfig(kind);
+            cfg.channels = channels;
+            cfg.epoch_length = 100 * kMicrosecond;
+            const RunResult base = runOne(Family::MicroRandom, cfg);
+            ASSERT_TRUE(base.finished)
+                << kindToken(kind) << " channels=" << channels;
+            for (unsigned threads : {1u, 2u, 4u}) {
+                cfg.sim_threads = threads;
+                const RunResult r = runOne(Family::MicroRandom, cfg);
+                EXPECT_EQ(r.final_tick, base.final_tick)
+                    << kindToken(kind) << " channels=" << channels
+                    << " sim_threads=" << threads;
+                EXPECT_EQ(r.stats, base.stats)
+                    << kindToken(kind) << " channels=" << channels
+                    << " sim_threads=" << threads;
+            }
         }
     }
 }

@@ -9,9 +9,12 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 
 #include "bench/bench_util.hh"
 #include "common/parallel.hh"
+#include "tests/test_util.hh"
 
 namespace thynvm {
 namespace {
@@ -86,6 +89,65 @@ TEST(CountdownLatchTest, WaitReturnsAfterAllArrivals)
     }
     latch.wait();
     EXPECT_EQ(done.load(), 10);
+}
+
+TEST(CountdownLatchTest, ZeroCountWaitReturnsImmediately)
+{
+    CountdownLatch latch(0);
+    latch.wait();
+    SUCCEED();
+}
+
+TEST(ParallelForTest, SerialPathRunsInIndexOrderOnTheCaller)
+{
+    // threads <= 1, or a single index, runs inline: same thread, index
+    // order, no pool.
+    for (auto [n, threads] : {std::pair<std::size_t, unsigned>{9, 0},
+                              {9, 1}, {1, 8}}) {
+        std::vector<std::size_t> order;
+        bool off_thread = false;
+        const auto caller = std::this_thread::get_id();
+        parallelFor(
+            n,
+            [&](std::size_t i) {
+                order.push_back(i);
+                off_thread |= std::this_thread::get_id() != caller;
+            },
+            threads);
+        std::vector<std::size_t> want(n);
+        for (std::size_t i = 0; i < n; ++i)
+            want[i] = i;
+        EXPECT_EQ(order, want) << "n=" << n << " threads=" << threads;
+        EXPECT_FALSE(off_thread) << "n=" << n << " threads=" << threads;
+    }
+}
+
+TEST(EnvKnobsTest, SimThreadsFromEnvAcceptsOnlyPositiveCounts)
+{
+    {
+        test::EnvGuard env("THYNVM_SIM_THREADS", nullptr);
+        EXPECT_EQ(simThreadsFromEnv(), 0u);
+    }
+    for (auto [value, want] : {std::pair<const char*, unsigned>{"4", 4},
+                               {"1", 1}, {"0", 0}, {"-2", 0},
+                               {"many", 0}, {"", 0}}) {
+        test::EnvGuard env("THYNVM_SIM_THREADS", value);
+        EXPECT_EQ(simThreadsFromEnv(), want) << "'" << value << "'";
+    }
+}
+
+TEST(EnvKnobsTest, ChannelsFromEnvAcceptsOnlyPositiveCounts)
+{
+    {
+        test::EnvGuard env("THYNVM_CHANNELS", nullptr);
+        EXPECT_EQ(channelsFromEnv(), 0u);
+    }
+    for (auto [value, want] : {std::pair<const char*, unsigned>{"2", 2},
+                               {"4", 4}, {"0", 0}, {"-4", 0},
+                               {"two", 0}, {"", 0}}) {
+        test::EnvGuard env("THYNVM_CHANNELS", value);
+        EXPECT_EQ(channelsFromEnv(), want) << "'" << value << "'";
+    }
 }
 
 // ---------------------------------------------------------------------
