@@ -36,11 +36,11 @@ patternName(MicroWorkload::Pattern p)
 void
 printSummary(const std::vector<RunMetrics>& results)
 {
-    const std::size_t nsys = allSystems().size();
+    const std::size_t nsys = kPaperSystemKinds.size();
     heading("Figure 7: micro-benchmark execution time "
             "(normalized to Ideal DRAM)");
     std::printf("%-11s", "pattern");
-    for (auto kind : allSystems())
+    for (auto kind : kPaperSystemKinds)
         std::printf("%14s", systemKindName(kind));
     std::printf("\n");
     for (std::size_t p = 0; p < kPatterns.size(); ++p) {
@@ -66,7 +66,7 @@ main()
 {
     std::vector<GridCell<RunMetrics>> cells;
     for (auto pattern : kPatterns) {
-        for (auto kind : allSystems()) {
+        for (auto kind : kPaperSystemKinds) {
             cells.push_back(GridCell<RunMetrics>{
                 std::string(patternName(pattern)) + "/" +
                     systemKindName(kind),

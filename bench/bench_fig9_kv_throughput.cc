@@ -38,13 +38,13 @@ txnsFor(std::uint32_t value_size)
 void
 printSummary(const std::vector<KvResult>& results)
 {
-    const std::size_t nsys = allSystems().size();
+    const std::size_t nsys = kPaperSystemKinds.size();
     heading("Figure 9: key-value store transaction throughput (KTPS)");
     for (int st = 0; st < 2; ++st) {
         std::printf("\n(%c) %s based key-value store\n",
                     'a' + st, st == 0 ? "hash table" : "red-black tree");
         std::printf("%-10s", "req_size");
-        for (auto kind : allSystems())
+        for (auto kind : kPaperSystemKinds)
             std::printf("%14s", systemKindName(kind));
         std::printf("\n");
         for (std::size_t z = 0; z < kSizes.size(); ++z) {
@@ -75,7 +75,7 @@ main()
     std::vector<GridCell<KvResult>> cells;
     for (std::size_t st = 0; st < structures.size(); ++st) {
         for (auto size : kSizes) {
-            for (auto kind : allSystems()) {
+            for (auto kind : kPaperSystemKinds) {
                 const auto structure = structures[st];
                 cells.push_back(GridCell<KvResult>{
                     std::string(st == 0 ? "hash" : "rbtree") + "/" +

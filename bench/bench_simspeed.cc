@@ -175,7 +175,7 @@ main()
     double total_host = 0.0;
     double total_sim_ms = 0.0;
     for (auto pattern : patterns) {
-        for (auto kind : allSystems()) {
+        for (auto kind : kPaperSystemKinds) {
             SpeedResult r = measure(kind, pattern);
             std::printf("%-24s %14llu %10.2f %14.0f %16.4f\n",
                         r.label.c_str(),

@@ -17,7 +17,7 @@ constructAllSystems()
 {
     // Sanity: every evaluated system can be constructed at evaluation
     // scale (this also exercises the address-space layout math).
-    for (auto kind : allSystems()) {
+    for (auto kind : kPaperSystemKinds) {
         MicroWorkload::Params mp;
         mp.total_accesses = 1;
         MicroWorkload wl(mp);

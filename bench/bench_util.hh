@@ -47,17 +47,6 @@ paperSystem(SystemKind kind)
     return cfg;
 }
 
-/** All five evaluated systems in the paper's presentation order. */
-inline const std::vector<SystemKind>&
-allSystems()
-{
-    static const std::vector<SystemKind> kinds = {
-        SystemKind::IdealDram, SystemKind::Journal, SystemKind::Shadow,
-        SystemKind::ThyNvm, SystemKind::IdealNvm,
-    };
-    return kinds;
-}
-
 /**
  * Per-pattern micro-benchmark scale. The paper only says "a large
  * array"; the scales here are chosen so each pattern exercises the
@@ -226,12 +215,8 @@ heading(const char* title)
 inline unsigned
 benchThreads()
 {
-    if (const char* env = std::getenv("THYNVM_BENCH_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-    }
-    return hardwareThreads();
+    const unsigned n = countFromEnv("THYNVM_BENCH_THREADS");
+    return n != 0 ? n : hardwareThreads();
 }
 
 /** One independent run in a benchmark sweep. */

@@ -22,12 +22,6 @@ namespace {
 using namespace thynvm;
 using namespace thynvm::bench;
 
-const std::vector<SystemKind> kSystems = {
-    SystemKind::IdealDram,   SystemKind::IdealNvm, SystemKind::Journal,
-    SystemKind::Shadow,      SystemKind::ThyNvm,   SystemKind::Icl,
-    SystemKind::Incremental,
-};
-
 /** Sequential non-wrapping write-only micro run. */
 RunMetrics
 runSeqWrite(SystemKind kind)
@@ -62,11 +56,12 @@ printSummary(const std::vector<RunMetrics>& results)
 {
     heading("Write amplification (media bytes / application bytes)");
     std::printf("%-12s %14s %14s\n", "system", "seq_write", "kv_hash");
-    for (std::size_t s = 0; s < kSystems.size(); ++s) {
+    for (std::size_t s = 0; s < kAllSystemKinds.size(); ++s) {
         const auto& seq = results[s];
-        const auto& kv = results[kSystems.size() + s];
-        std::printf("%-12s %14.3f %14.3f\n", systemKindName(kSystems[s]),
-                    seq.write_amp, kv.write_amp);
+        const auto& kv = results[kAllSystemKinds.size() + s];
+        std::printf("%-12s %14.3f %14.3f\n",
+                    systemKindName(kAllSystemKinds[s]), seq.write_amp,
+                    kv.write_amp);
     }
     std::printf("\n(ideals are 1.0 by construction; journaling pays the "
                 "double write;\n incremental range checkpointing stages "
@@ -80,12 +75,12 @@ int
 main()
 {
     std::vector<GridCell<RunMetrics>> cells;
-    for (auto kind : kSystems) {
+    for (auto kind : kAllSystemKinds) {
         cells.push_back(GridCell<RunMetrics>{
             std::string("seq-write/") + systemKindName(kind),
             [kind] { return runSeqWrite(kind); }});
     }
-    for (auto kind : kSystems) {
+    for (auto kind : kAllSystemKinds) {
         cells.push_back(GridCell<RunMetrics>{
             std::string("kv/") + systemKindName(kind),
             [kind] { return runKvCell(kind); }});
@@ -99,9 +94,9 @@ main()
         return 1;
     }
     std::fprintf(f, "{\n  \"benchmark\": \"wamp\",\n  \"systems\": [\n");
-    for (std::size_t s = 0; s < kSystems.size(); ++s) {
+    for (std::size_t s = 0; s < kAllSystemKinds.size(); ++s) {
         const auto& seq = results[s];
-        const auto& kv = results[kSystems.size() + s];
+        const auto& kv = results[kAllSystemKinds.size() + s];
         std::fprintf(
             f,
             "    {\"system\": \"%s\", "
@@ -109,11 +104,11 @@ main()
             "\"media_mb\": %.2f}, "
             "\"kv\": {\"write_amp\": %.4f, \"app_mb\": %.2f, "
             "\"media_mb\": %.2f}}%s\n",
-            systemKindName(kSystems[s]), seq.write_amp,
+            systemKindName(kAllSystemKinds[s]), seq.write_amp,
             mb(seq.app_wr_bytes), mb(seq.app_wr_bytes) * seq.write_amp,
             kv.write_amp, mb(kv.app_wr_bytes),
             mb(kv.app_wr_bytes) * kv.write_amp,
-            s + 1 == kSystems.size() ? "" : ",");
+            s + 1 == kAllSystemKinds.size() ? "" : ",");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -14,8 +14,10 @@
 #define THYNVM_COMMON_PARALLEL_HH
 
 #include <algorithm>
+#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -148,37 +150,43 @@ hardwareThreads()
 }
 
 /**
- * Case fan-out worker count for the thynvm_fuzz campaign: the
- * THYNVM_SIM_THREADS environment variable if set (>= 1), else 0
- * (callers treat 0 as one worker).
+ * Count from environment variable @p name: its whole value must be a
+ * decimal integer in [1, UINT_MAX]. @return 0 when it is unset or
+ * holds anything else (a sign, trailing characters, an out-of-range
+ * value); callers treat 0 as "not set".
+ */
+inline unsigned
+countFromEnv(const char* name)
+{
+    const char* env = std::getenv(name);
+    if (env == nullptr)
+        return 0;
+    const char* end = env + std::strlen(env);
+    unsigned v = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, v);
+    return ec == std::errc() && ptr == end ? v : 0;
+}
+
+/**
+ * Case fan-out worker count for the thynvm_fuzz campaign:
+ * THYNVM_SIM_THREADS, or 0 (callers treat 0 as one worker).
  */
 inline unsigned
 simThreadsFromEnv()
 {
-    if (const char* env = std::getenv("THYNVM_SIM_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-    }
-    return 0;
+    return countFromEnv("THYNVM_SIM_THREADS");
 }
 
 /**
- * Memory-channel count from THYNVM_CHANNELS, or 0 when unset/invalid
- * (callers treat 0 as "one channel"). Consulted by SystemConfig when
- * channels is left at its deferred default, mirroring
- * simThreadsFromEnv(); CI uses it to route whole test labels through
+ * Memory-channel count from THYNVM_CHANNELS, or 0 (callers treat 0 as
+ * "one channel"). Consulted by SystemConfig when channels is left at
+ * its deferred default; CI uses it to route whole test labels through
  * the multi-channel topology.
  */
 inline unsigned
 channelsFromEnv()
 {
-    if (const char* env = std::getenv("THYNVM_CHANNELS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-    }
-    return 0;
+    return countFromEnv("THYNVM_CHANNELS");
 }
 
 /**

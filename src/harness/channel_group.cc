@@ -1,8 +1,7 @@
 /**
  * @file
- * Multi-channel group implementation: per-channel controller
- * construction, the functional mirror, cross-channel messages, and the
- * cross-channel epoch coordinator.
+ * Multi-channel group implementation: the functional mirror,
+ * cross-channel messages, and the cross-channel epoch coordinator.
  */
 
 #include "harness/channel_group.hh"
@@ -11,113 +10,10 @@
 #include <cstring>
 #include <ostream>
 
-#include "baselines/icl.hh"
-#include "baselines/ideal.hh"
-#include "baselines/incremental.hh"
-#include "baselines/journal.hh"
-#include "baselines/shadow.hh"
-#include "core/layout.hh"
-#include "core/thynvm_controller.hh"
-
 namespace thynvm {
 
-namespace {
-
-/**
- * Global ThyNVM table sizes scaled down to one channel's share. Each
- * channel serves 1/C of the physical space, so it gets 1/C of the
- * translation-table, overflow, and back-pressure budget (rounded up).
- */
-ThyNvmConfig
-scaledThyNvm(const ChannelGroup::Config& cfg, std::size_t ch_phys)
-{
-    const unsigned c = cfg.channels;
-    ThyNvmConfig tc = cfg.thynvm;
-    tc.phys_size = ch_phys;
-    tc.epoch_length = cfg.epoch_length;
-    tc.btt_entries = (cfg.thynvm.btt_entries + c - 1) / c;
-    tc.ptt_entries = (cfg.thynvm.ptt_entries + c - 1) / c;
-    tc.overflow_entries = (cfg.thynvm.overflow_entries + c - 1) / c;
-    tc.overflow_stall_watermark =
-        (cfg.thynvm.overflow_stall_watermark + c - 1) / c;
-    return tc;
-}
-
-JournalConfig
-scaledJournal(const ChannelGroup::Config& cfg, std::size_t ch_phys)
-{
-    const unsigned c = cfg.channels;
-    JournalConfig jc;
-    jc.phys_size = ch_phys;
-    jc.epoch_length = cfg.epoch_length;
-    jc.table_entries =
-        (cfg.thynvm.btt_entries + cfg.thynvm.ptt_entries + c - 1) / c;
-    // The headroom above the soft trigger is deliberately *not*
-    // divided: the coordinated flush barrier adds cross-channel skew
-    // between a channel's boundary request and the actual flush, and
-    // the headroom is what absorbs writes arriving in that window.
-    return jc;
-}
-
-ShadowConfig
-scaledShadow(const ChannelGroup::Config& cfg, std::size_t ch_phys)
-{
-    ShadowConfig sc;
-    sc.phys_size = ch_phys;
-    sc.epoch_length = cfg.epoch_length;
-    sc.dram_size = scaledThyNvm(cfg, ch_phys).dramSize();
-    return sc;
-}
-
-IclConfig
-scaledIcl(const ChannelGroup::Config& cfg, std::size_t ch_phys)
-{
-    IclConfig ic;
-    ic.phys_size = ch_phys;
-    ic.epoch_length = cfg.epoch_length;
-    return ic;
-}
-
-IncrementalConfig
-scaledIncremental(const ChannelGroup::Config& cfg, std::size_t ch_phys)
-{
-    const unsigned c = cfg.channels;
-    IncrementalConfig nc;
-    nc.phys_size = ch_phys;
-    nc.epoch_length = cfg.epoch_length;
-    nc.table_entries =
-        (cfg.thynvm.btt_entries + cfg.thynvm.ptt_entries + c - 1) / c;
-    // Headroom undivided, same rationale as the journal above.
-    return nc;
-}
-
-/** Durable NVM bytes one channel of the configured kind needs. */
-std::size_t
-sliceSize(const ChannelGroup::Config& cfg, std::size_t ch_phys)
-{
-    switch (cfg.kind) {
-      case SystemKind::IdealDram:
-      case SystemKind::IdealNvm:
-        return IdealController::nvmCapacity(ch_phys);
-      case SystemKind::Journal:
-        return JournalController::nvmCapacity(scaledJournal(cfg, ch_phys));
-      case SystemKind::Shadow:
-        return ShadowController::nvmCapacity(scaledShadow(cfg, ch_phys));
-      case SystemKind::ThyNvm:
-        return AddressLayout(scaledThyNvm(cfg, ch_phys)).nvmSize();
-      case SystemKind::Icl:
-        return IclController::nvmCapacity(scaledIcl(cfg, ch_phys));
-      case SystemKind::Incremental:
-        return IncrementalController::nvmCapacity(
-            scaledIncremental(cfg, ch_phys));
-    }
-    return 0;
-}
-
-} // namespace
-
 ChannelGroup::ChannelGroup(EventQueue& eq, std::string name,
-                           const Config& cfg,
+                           const ControllerSpec& cfg,
                            std::shared_ptr<BackingStore> nvm_store)
     : MemController(eq, std::move(name)), cfg_(cfg), il_(cfg.channels)
 {
@@ -134,7 +30,7 @@ ChannelGroup::ChannelGroup(EventQueue& eq, std::string name,
     // One root store backs the whole group; each channel owns a view
     // slice, so crash()/reboot hand around a single surviving handle
     // exactly like the single-channel case.
-    const std::size_t slice = sliceSize(cfg_, ch_phys);
+    const std::size_t slice = channelNvmSize(cfg_);
     const std::size_t total = slice * cfg_.channels;
     if (nvm_store == nullptr) {
         root_store_ = std::make_shared<BackingStore>(total);
@@ -152,16 +48,19 @@ ChannelGroup::ChannelGroup(EventQueue& eq, std::string name,
     for (unsigned i = 0; i < cfg_.channels; ++i) {
         auto ch = std::make_unique<Channel>();
         ch->eq = std::make_unique<EventQueue>();
-        auto view = std::make_shared<BackingStore>(root_store_, i * slice,
-                                                   slice);
-        ch->ctrl = buildChannel(*ch->eq, i, ch_phys, std::move(view));
+        ch->ctrl = buildController(
+            cfg_, *ch->eq, this->name() + ".ch" + std::to_string(i),
+            std::make_shared<BackingStore>(root_store_, i * slice, slice),
+            [this, i] { postToCore(i, [this] { resumeArrived(); }); });
+        // Per-channel crash-site prefixes give each channel its own site
+        // names (and hit ordinals).
+        ch->ctrl->setCrashSitePrefix("ch" + std::to_string(i) + ".");
         chs_.push_back(std::move(ch));
     }
 
     // Wire the coordinator adapters (checkpointing kinds only; the
     // ideal controllers never initiate boundaries).
-    if (cfg_.kind != SystemKind::IdealDram &&
-        cfg_.kind != SystemKind::IdealNvm) {
+    if (isCheckpointingKind(cfg_.kind)) {
         for (unsigned i = 0; i < cfg_.channels; ++i) {
             MemController& ctrl = *chs_[i]->ctrl;
             ctrl.setFlushClient([this, i](std::function<void()> run) {
@@ -185,67 +84,6 @@ ChannelGroup::ChannelGroup(EventQueue& eq, std::string name,
 }
 
 ChannelGroup::~ChannelGroup() = default;
-
-std::unique_ptr<MemController>
-ChannelGroup::buildChannel(EventQueue& eq, unsigned i, std::size_t ch_phys,
-                           std::shared_ptr<BackingStore> slice)
-{
-    const std::string cname = name() + ".ch" + std::to_string(i);
-    // Per-channel crash-site prefixes give each channel its own site
-    // names (and hit ordinals).
-    const std::string prefix = "ch" + std::to_string(i) + ".";
-    auto resume = [this, i] { postToCore(i, [this] { resumeArrived(); }); };
-
-    std::unique_ptr<MemController> ctrl;
-    switch (cfg_.kind) {
-      case SystemKind::IdealDram:
-        ctrl = std::make_unique<IdealController>(eq, cname, ch_phys, true,
-                                                 std::move(slice));
-        break;
-      case SystemKind::IdealNvm:
-        ctrl = std::make_unique<IdealController>(eq, cname, ch_phys, false,
-                                                 std::move(slice));
-        break;
-      case SystemKind::Journal: {
-        auto c = std::make_unique<JournalController>(
-            eq, cname, scaledJournal(cfg_, ch_phys), std::move(slice));
-        c->setResumeClient(resume);
-        ctrl = std::move(c);
-        break;
-      }
-      case SystemKind::Shadow: {
-        auto c = std::make_unique<ShadowController>(
-            eq, cname, scaledShadow(cfg_, ch_phys), std::move(slice));
-        c->setResumeClient(resume);
-        ctrl = std::move(c);
-        break;
-      }
-      case SystemKind::ThyNvm: {
-        auto c = std::make_unique<ThyNvmController>(
-            eq, cname, scaledThyNvm(cfg_, ch_phys), std::move(slice));
-        c->setResumeClient(resume);
-        ctrl = std::move(c);
-        break;
-      }
-      case SystemKind::Icl: {
-        auto c = std::make_unique<IclController>(
-            eq, cname, scaledIcl(cfg_, ch_phys), std::move(slice));
-        c->setResumeClient(resume);
-        ctrl = std::move(c);
-        break;
-      }
-      case SystemKind::Incremental: {
-        auto c = std::make_unique<IncrementalController>(
-            eq, cname, scaledIncremental(cfg_, ch_phys),
-            std::move(slice));
-        c->setResumeClient(resume);
-        ctrl = std::move(c);
-        break;
-      }
-    }
-    ctrl->setCrashSitePrefix(prefix);
-    return ctrl;
-}
 
 // ----------------------------------------------------------------------
 // Cross-channel messages.
@@ -462,28 +300,17 @@ ChannelGroup::recover(std::function<void()> done)
     // O(capacity).
     mirror_.clear();
     const std::size_t ch_phys = il_.localCapacity(cfg_.phys_size);
-    const std::size_t ch_pages = (ch_phys + kPageSize - 1) / kPageSize;
-    std::vector<std::uint8_t> touched(ch_pages, 0);
     for (unsigned ci = 0; ci < cfg_.channels; ++ci) {
-        std::fill(touched.begin(), touched.end(), 0);
-        chs_[ci]->ctrl->forEachTouchedPhysRange(
-            [&](Addr a, std::size_t len) {
-                if (a >= ch_phys)
-                    return;
-                len = std::min(len, ch_phys - a);
-                for (std::size_t pg = a / kPageSize;
-                     pg * kPageSize < a + len; ++pg)
-                    touched[pg] = 1;
+        MemController& ctrl = *chs_[ci]->ctrl;
+        const std::vector<Addr> pages =
+            touchedPages(ch_phys, [&](const auto& mark) {
+                ctrl.forEachTouchedPhysRange(mark);
             });
-        for (std::size_t pg = 0; pg < ch_pages; ++pg) {
-            if (!touched[pg])
-                continue;
-            const Addr page_end =
-                std::min<Addr>((pg + 1) * kPageSize, ch_phys);
-            for (Addr local = pg * kPageSize; local < page_end;
-                 local += kBlockSize) {
+        for (const Addr page : pages) {
+            const Addr page_end = std::min<Addr>(page + kPageSize, ch_phys);
+            for (Addr local = page; local < page_end; local += kBlockSize) {
                 std::uint8_t blk[kBlockSize];
-                chs_[ci]->ctrl->functionalRead(local, blk, kBlockSize);
+                ctrl.functionalRead(local, blk, kBlockSize);
                 mirror_.write(il_.globalAddr(ci, local), blk, kBlockSize);
             }
         }
@@ -521,13 +348,8 @@ ChannelGroup::setCrashPoints(CrashPointRegistry* reg)
 void
 ChannelGroup::dumpExtraStats(std::ostream& os)
 {
-    for (auto& ch : chs_) {
-        ch->ctrl->stats().dump(os);
-        if (MemDevice* d = ch->ctrl->nvmDevice())
-            d->stats().dump(os);
-        if (MemDevice* d = ch->ctrl->dramDevice())
-            d->stats().dump(os);
-    }
+    for (auto& ch : chs_)
+        ch->ctrl->dumpStatsWithDevices(os);
 }
 
 std::uint64_t

@@ -50,9 +50,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/config.hh"
-#include "harness/system_kind.hh"
-#include "mem/controller.hh"
+#include "harness/controller_factory.hh"
 #include "mem/interleave.hh"
 #include "mem/paged_bytes.hh"
 
@@ -72,28 +70,20 @@ class ChannelGroup : public MemController
      */
     static constexpr Tick kChannelLookahead = 40 * kNanosecond;
 
-    struct Config
-    {
-        SystemKind kind = SystemKind::ThyNvm;
-        /** Channel count; must be a power of two >= 2. */
-        unsigned channels = 2;
-        /** Global software-visible physical address space. */
-        std::size_t phys_size = 0;
-        Tick epoch_length = 0;
-        /** Global table sizes; divided over the channels. */
-        ThyNvmConfig thynvm;
-    };
-
     /**
      * @param eq the core event queue (the group itself runs on the
      *        core queue; channels own their queues).
+     * @param cfg the whole machine; cfg.channels must be a power of
+     *        two >= 2, and each channel's controller comes from
+     *        buildController(cfg, ...).
      * @param nvm_store surviving NVM contents of the whole group for a
      *        post-crash reboot, or nullptr for a pristine machine. The
      *        group hands each channel a view slice of one root store, so
      *        a single handle survives crashes exactly like the
      *        single-channel case.
      */
-    ChannelGroup(EventQueue& eq, std::string name, const Config& cfg,
+    ChannelGroup(EventQueue& eq, std::string name,
+                 const ControllerSpec& cfg,
                  std::shared_ptr<BackingStore> nvm_store);
     ~ChannelGroup() override;
 
@@ -167,14 +157,6 @@ class ChannelGroup : public MemController
         std::uint64_t boundary_seq = 0;
     };
 
-    std::unique_ptr<MemController>
-    buildChannel(EventQueue& eq, unsigned i, std::size_t ch_phys,
-                 std::shared_ptr<BackingStore> slice);
-    /** Per-channel NVM slice size for the configured kind. */
-    std::size_t channelNvmSize(std::size_t ch_phys) const;
-    /** Global config scaled down to one channel's share. */
-    ThyNvmConfig channelThyNvmConfig(std::size_t ch_phys) const;
-
     /**
      * Cross-channel message helpers: deliver @p fn on the target queue
      * one kChannelLookahead hop after the sender's tick. Link 2*i is
@@ -192,7 +174,7 @@ class ChannelGroup : public MemController
     void gateArrived(unsigned phase);
     void resumeArrived();
 
-    Config cfg_;
+    ControllerSpec cfg_;
     ChannelInterleaver il_;
     std::shared_ptr<BackingStore> root_store_;
     std::vector<std::unique_ptr<Channel>> chs_;

@@ -13,48 +13,6 @@
 
 namespace thynvm {
 
-const char*
-systemKindName(SystemKind kind)
-{
-    switch (kind) {
-      case SystemKind::IdealDram: return "Ideal DRAM";
-      case SystemKind::IdealNvm: return "Ideal NVM";
-      case SystemKind::Journal: return "Journal";
-      case SystemKind::Shadow: return "Shadow";
-      case SystemKind::ThyNvm: return "ThyNVM";
-      case SystemKind::Icl: return "ICL";
-      case SystemKind::Incremental: return "Incremental";
-    }
-    return "unknown";
-}
-
-const char*
-systemToken(SystemKind kind)
-{
-    switch (kind) {
-      case SystemKind::IdealDram: return "ideal-dram";
-      case SystemKind::IdealNvm: return "ideal-nvm";
-      case SystemKind::Journal: return "journal";
-      case SystemKind::Shadow: return "shadow";
-      case SystemKind::ThyNvm: return "thynvm";
-      case SystemKind::Icl: return "icl";
-      case SystemKind::Incremental: return "incremental";
-    }
-    return "unknown";
-}
-
-bool
-systemKindFromToken(const std::string& tok, SystemKind& out)
-{
-    for (SystemKind k : kAllSystemKinds) {
-        if (tok == systemToken(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 System::System(const SystemConfig& cfg, Workload& workload,
                std::shared_ptr<BackingStore> nvm_store)
     : cfg_(cfg), workload_(workload)
@@ -62,93 +20,19 @@ System::System(const SystemConfig& cfg, Workload& workload,
     channels_ = cfg_.channels != 0 ? cfg_.channels : channelsFromEnv();
     if (channels_ == 0)
         channels_ = 1;
+    const ControllerSpec spec{cfg_.kind, cfg_.phys_size, cfg_.epoch_length,
+                              cfg_.thynvm, channels_};
+    auto resume = [this] { cpu_->resume(); };
     if (channels_ > 1) {
-        ChannelGroup::Config gc;
-        gc.kind = cfg_.kind;
-        gc.channels = channels_;
-        gc.phys_size = cfg_.phys_size;
-        gc.epoch_length = cfg_.epoch_length;
-        gc.thynvm = cfg_.thynvm;
-        auto grp = std::make_unique<ChannelGroup>(eq_, "sys.ctrl", gc,
+        auto grp = std::make_unique<ChannelGroup>(eq_, "sys.ctrl", spec,
                                                   std::move(nvm_store));
-        grp->setResumeClient([this] { cpu_->resume(); });
+        grp->setResumeClient(resume);
         group_ = grp.get();
         controller_ = std::move(grp);
-        buildAboveController();
-        return;
+    } else {
+        controller_ = buildController(spec, eq_, "sys.ctrl",
+                                      std::move(nvm_store), resume);
     }
-    switch (cfg_.kind) {
-      case SystemKind::IdealDram:
-        controller_ = std::make_unique<IdealController>(
-            eq_, "sys.ctrl", cfg_.phys_size, true, std::move(nvm_store));
-        break;
-      case SystemKind::IdealNvm:
-        controller_ = std::make_unique<IdealController>(
-            eq_, "sys.ctrl", cfg_.phys_size, false, std::move(nvm_store));
-        break;
-      case SystemKind::Journal: {
-        JournalConfig jc;
-        jc.phys_size = cfg_.phys_size;
-        jc.epoch_length = cfg_.epoch_length;
-        jc.table_entries =
-            cfg_.thynvm.btt_entries + cfg_.thynvm.ptt_entries;
-        auto ctrl = std::make_unique<JournalController>(
-            eq_, "sys.ctrl", jc, std::move(nvm_store));
-        ctrl->setResumeClient([this] { cpu_->resume(); });
-        controller_ = std::move(ctrl);
-        break;
-      }
-      case SystemKind::Shadow: {
-        ShadowConfig sc;
-        sc.phys_size = cfg_.phys_size;
-        sc.epoch_length = cfg_.epoch_length;
-        sc.dram_size = cfg_.thynvm.dramSize();
-        auto ctrl = std::make_unique<ShadowController>(
-            eq_, "sys.ctrl", sc, std::move(nvm_store));
-        ctrl->setResumeClient([this] { cpu_->resume(); });
-        controller_ = std::move(ctrl);
-        break;
-      }
-      case SystemKind::ThyNvm: {
-        ThyNvmConfig tc = cfg_.thynvm;
-        tc.phys_size = cfg_.phys_size;
-        tc.epoch_length = cfg_.epoch_length;
-        auto ctrl = std::make_unique<ThyNvmController>(
-            eq_, "sys.ctrl", tc, std::move(nvm_store));
-        ctrl->setResumeClient([this] { cpu_->resume(); });
-        controller_ = std::move(ctrl);
-        break;
-      }
-      case SystemKind::Icl: {
-        IclConfig ic;
-        ic.phys_size = cfg_.phys_size;
-        ic.epoch_length = cfg_.epoch_length;
-        auto ctrl = std::make_unique<IclController>(
-            eq_, "sys.ctrl", ic, std::move(nvm_store));
-        ctrl->setResumeClient([this] { cpu_->resume(); });
-        controller_ = std::move(ctrl);
-        break;
-      }
-      case SystemKind::Incremental: {
-        IncrementalConfig nc;
-        nc.phys_size = cfg_.phys_size;
-        nc.epoch_length = cfg_.epoch_length;
-        nc.table_entries =
-            cfg_.thynvm.btt_entries + cfg_.thynvm.ptt_entries;
-        auto ctrl = std::make_unique<IncrementalController>(
-            eq_, "sys.ctrl", nc, std::move(nvm_store));
-        ctrl->setResumeClient([this] { cpu_->resume(); });
-        controller_ = std::move(ctrl);
-        break;
-      }
-    }
-
-    buildAboveController();
-}
-
-void
-System::buildAboveController()
-{
     controller_->setCrashPoints(cfg_.crash_points);
 
     BlockAccessor* below = controller_.get();
@@ -219,30 +103,15 @@ System::functionalView()
 std::vector<Addr>
 System::touchedPhysPages() const
 {
-    const std::size_t phys = cfg_.phys_size;
-    const std::size_t npages = (phys + kPageSize - 1) / kPageSize;
-    std::vector<std::uint8_t> bits(npages, 0);
-    const auto mark = [&](Addr a, std::size_t len) {
-        if (a >= phys)
-            return;
-        len = std::min(len, phys - a);
-        for (std::size_t pg = a / kPageSize; pg * kPageSize < a + len;
-             ++pg)
-            bits[pg] = 1;
-    };
-    controller_->forEachTouchedPhysRange(mark);
-    // The functional view overlays cache contents; dirty lines may
-    // hold data the controller has never seen (clean lines mirror it).
-    for (const Cache* c : {l1_.get(), l2_.get(), l3_.get()}) {
-        if (c != nullptr)
-            c->forEachDirtyBlock([&](Addr a) { mark(a, kBlockSize); });
-    }
-    std::vector<Addr> pages;
-    for (std::size_t pg = 0; pg < npages; ++pg) {
-        if (bits[pg])
-            pages.push_back(pg * kPageSize);
-    }
-    return pages;
+    return touchedPages(cfg_.phys_size, [&](const auto& mark) {
+        controller_->forEachTouchedPhysRange(mark);
+        // The functional view overlays cache contents; dirty lines may
+        // hold data the controller has never seen.
+        for (const Cache* c : {l1_.get(), l2_.get(), l3_.get()}) {
+            if (c != nullptr)
+                c->forEachDirtyBlock([&](Addr a) { mark(a, kBlockSize); });
+        }
+    });
 }
 
 void
@@ -384,11 +253,7 @@ System::dumpStats(std::ostream& os)
         l2_->stats().dump(os);
         l3_->stats().dump(os);
     }
-    controller_->stats().dump(os);
-    if (MemDevice* d = controller_->nvmDevice())
-        d->stats().dump(os);
-    if (MemDevice* d = controller_->dramDevice())
-        d->stats().dump(os);
+    controller_->dumpStatsWithDevices(os);
     // Multi-channel topologies dump every channel's controller and
     // devices here; single-channel dumps are unchanged (no-op).
     controller_->dumpExtraStats(os);

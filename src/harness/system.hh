@@ -26,6 +26,7 @@
 #include "core/thynvm_controller.hh"
 #include "cpu/cpu.hh"
 #include "harness/channel_group.hh"
+#include "harness/controller_factory.hh"
 #include "harness/system_kind.hh"
 
 namespace thynvm {
@@ -194,7 +195,6 @@ class System
     const SystemConfig& config() const { return cfg_; }
 
   private:
-    void buildAboveController();
     void wireFlushClient();
     void flushCaches(std::function<void()> done);
     template <typename Stop>

@@ -12,6 +12,7 @@
 #ifndef THYNVM_MEM_CONTROLLER_HH
 #define THYNVM_MEM_CONTROLLER_HH
 
+#include <algorithm>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -262,6 +263,17 @@ class MemController : public SimObject, public BlockAccessor
         return nullptr;
     }
 
+    /** Dump this controller's stats, then its NVM and DRAM devices'. */
+    void
+    dumpStatsWithDevices(std::ostream& os)
+    {
+        stats().dump(os);
+        for (MemDevice* d : {nvmDevice(), dramDevice()}) {
+            if (d != nullptr)
+                d->stats().dump(os);
+        }
+    }
+
     /**
      * Dump stats of any nested components this controller owns beyond
      * its own devices (the channel group dumps every channel's
@@ -407,6 +419,32 @@ class MemController : public SimObject, public BlockAccessor
     std::uint64_t last_epoch_media_ = 0;
     std::uint64_t last_epoch_app_ = 0;
 };
+
+/**
+ * Ascending page-aligned addresses of the pages below @p limit that any
+ * byte range overlaps. @p ranges is called once with a mark(addr, len)
+ * callback (e.g. to pass to forEachTouchedPhysRange); ranges are
+ * clamped to @p limit.
+ */
+template <typename Ranges>
+std::vector<Addr>
+touchedPages(std::size_t limit, Ranges&& ranges)
+{
+    std::vector<std::uint8_t> bits((limit + kPageSize - 1) / kPageSize, 0);
+    ranges([&](Addr a, std::size_t len) {
+        if (a >= limit)
+            return;
+        len = std::min(len, limit - a);
+        for (std::size_t pg = a / kPageSize; pg * kPageSize < a + len; ++pg)
+            bits[pg] = 1;
+    });
+    std::vector<Addr> pages;
+    for (std::size_t pg = 0; pg < bits.size(); ++pg) {
+        if (bits[pg])
+            pages.push_back(pg * kPageSize);
+    }
+    return pages;
+}
 
 } // namespace thynvm
 

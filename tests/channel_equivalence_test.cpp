@@ -58,19 +58,13 @@ familyToken(Family f)
     return "?";
 }
 
-const char*
+/** The kind's token without its '-' ("ideal-dram" -> "idealdram"). */
+std::string
 kindToken(SystemKind kind)
 {
-    switch (kind) {
-      case SystemKind::IdealDram: return "idealdram";
-      case SystemKind::IdealNvm: return "idealnvm";
-      case SystemKind::Journal: return "journal";
-      case SystemKind::Shadow: return "shadow";
-      case SystemKind::ThyNvm: return "thynvm";
-      case SystemKind::Icl: return "icl";
-      case SystemKind::Incremental: return "incremental";
-    }
-    return "?";
+    std::string tok = systemToken(kind);
+    std::erase(tok, '-');
+    return tok;
 }
 
 std::vector<SystemKind>

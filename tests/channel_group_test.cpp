@@ -32,10 +32,10 @@ namespace {
 
 constexpr Tick kHop = ChannelGroup::kChannelLookahead;
 
-ChannelGroup::Config
+ControllerSpec
 groupConfig(SystemKind kind, unsigned channels)
 {
-    ChannelGroup::Config gc;
+    ControllerSpec gc;
     gc.kind = kind;
     gc.channels = channels;
     gc.phys_size = 4u << 20;

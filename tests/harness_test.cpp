@@ -98,13 +98,37 @@ TEST(HarnessTest, EverySystemRunsTheSameWorkloadToCompletion)
 
 TEST(HarnessTest, SystemKindNamesAreUnique)
 {
-    std::set<std::string> names;
-    for (SystemKind kind :
-         {SystemKind::IdealDram, SystemKind::IdealNvm,
-          SystemKind::Journal, SystemKind::Shadow, SystemKind::ThyNvm}) {
+    std::set<std::string> names, tokens;
+    for (SystemKind kind : kAllSystemKinds) {
         names.insert(systemKindName(kind));
+        tokens.insert(systemToken(kind));
     }
-    EXPECT_EQ(names.size(), 5u);
+    EXPECT_EQ(names.size(), kSystemKindCount);
+    EXPECT_EQ(tokens.size(), kSystemKindCount);
+}
+
+TEST(HarnessTest, SystemKindTokensRoundTrip)
+{
+    for (SystemKind kind : kAllSystemKinds) {
+        SystemKind parsed = SystemKind::ThyNvm;
+        ASSERT_TRUE(systemKindFromToken(systemToken(kind), parsed))
+            << systemToken(kind);
+        EXPECT_EQ(parsed, kind) << systemToken(kind);
+    }
+    SystemKind untouched = SystemKind::Icl;
+    for (const char* bad : {"", "bogus", "ThyNVM", "ideal", "thynvm "})
+        EXPECT_FALSE(systemKindFromToken(bad, untouched)) << bad;
+    EXPECT_EQ(untouched, SystemKind::Icl);
+}
+
+TEST(HarnessTest, PaperSystemsAreTheFiveInFigureOrder)
+{
+    const std::vector<SystemKind> want = {
+        SystemKind::IdealDram, SystemKind::Journal, SystemKind::Shadow,
+        SystemKind::ThyNvm, SystemKind::IdealNvm};
+    EXPECT_EQ(std::vector<SystemKind>(kPaperSystemKinds.begin(),
+                                      kPaperSystemKinds.end()),
+              want);
 }
 
 TEST(HarnessTest, KvSnapshotCapturesMidTransactionState)

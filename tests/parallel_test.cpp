@@ -130,7 +130,10 @@ TEST(EnvKnobsTest, SimThreadsFromEnvAcceptsOnlyPositiveCounts)
     }
     for (auto [value, want] : {std::pair<const char*, unsigned>{"4", 4},
                                {"1", 1}, {"0", 0}, {"-2", 0},
-                               {"many", 0}, {"", 0}}) {
+                               {"many", 0}, {"", 0},
+                               {"4294967295", 4294967295u},
+                               {"4294967298", 0}, {"2abc", 0},
+                               {"3 ", 0}, {"+3", 0}}) {
         test::EnvGuard env("THYNVM_SIM_THREADS", value);
         EXPECT_EQ(simThreadsFromEnv(), want) << "'" << value << "'";
     }
@@ -144,7 +147,9 @@ TEST(EnvKnobsTest, ChannelsFromEnvAcceptsOnlyPositiveCounts)
     }
     for (auto [value, want] : {std::pair<const char*, unsigned>{"2", 2},
                                {"4", 4}, {"0", 0}, {"-4", 0},
-                               {"two", 0}, {"", 0}}) {
+                               {"two", 0}, {"", 0},
+                               {"4294967298", 0}, {"2abc", 0},
+                               {"99999999999999999999", 0}}) {
         test::EnvGuard env("THYNVM_CHANNELS", value);
         EXPECT_EQ(channelsFromEnv(), want) << "'" << value << "'";
     }
