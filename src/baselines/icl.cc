@@ -238,10 +238,6 @@ IclController::forEachTouchedPhysRange(
                 p = g + kGroupSize;
             }
         });
-    nvm_port_.forEachStagedWriteAddr([&](Addr a) {
-        if (a < limit && a % kGroupSize == 0)
-            fn(a / 4, kBlockSize);
-    });
 }
 
 void

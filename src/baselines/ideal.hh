@@ -120,17 +120,13 @@ class IdealController : public MemController
     forEachTouchedPhysRange(
         const std::function<void(Addr, std::size_t)>& fn) const override
     {
-        // The flat space maps identity onto the device; functionalRead
-        // overlays staged port writes on the store.
+        // The flat space maps identity onto the device, whose store
+        // already holds staged port writes.
         dev_.store().forEachTouchedRange(
             [&](Addr a, const std::uint8_t*, std::size_t len) {
                 if (a < phys_size_)
                     fn(a, std::min(len, phys_size_ - a));
             });
-        port_.forEachStagedWriteAddr([&](Addr a) {
-            if (a < phys_size_)
-                fn(a, kBlockSize);
-        });
     }
 
     void
@@ -138,8 +134,8 @@ class IdealController : public MemController
     {
         // Idealized systems are *assumed* to provide crash consistency
         // at no cost (paper §5.1), so their contents survive intact —
-        // including writes still queued at the instant of failure.
-        port_.quiesce();
+        // including writes still staged or queued when power fails.
+        port_.crash();
         dev_.quiesce();
     }
 

@@ -168,12 +168,6 @@ IncrementalController::forEachTouchedPhysRange(
             if (s < e)
                 fn(s - phys, e - s);
         });
-    nvm_port_.forEachStagedWriteAddr([&](Addr a) {
-        if (a < phys)
-            fn(a, kBlockSize);
-        else if (a < 2 * phys)
-            fn(a - phys, kBlockSize);
-    });
     // Blocks redirected to the DRAM buffer.
     for (const auto& [paddr, slot] : table_)
         fn(paddr, kBlockSize);

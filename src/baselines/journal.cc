@@ -177,10 +177,6 @@ JournalController::forEachTouchedPhysRange(
             if (a < cfg_.phys_size)
                 fn(a, std::min(len, cfg_.phys_size - a));
         });
-    nvm_port_.forEachStagedWriteAddr([&](Addr a) {
-        if (a < cfg_.phys_size)
-            fn(a, kBlockSize);
-    });
     // Blocks redirected to the DRAM journal buffer.
     for (const auto& [paddr, slot] : table_)
         fn(paddr, kBlockSize);

@@ -249,23 +249,18 @@ ShadowController::forEachTouchedPhysRange(
     // back to its physical page is exact. Device areas beyond the two
     // slot regions (page table, headers, CPU state) are never
     // software-visible.
-    const auto mapNvm = [&](Addr a, std::size_t len) {
-        const Addr end = a + len;
-        if (a < cfg_.phys_size) {
-            const Addr hi = std::min<Addr>(end, cfg_.phys_size);
-            fn(a, hi - a);
-        }
-        const Addr lo1 = std::max<Addr>(a, cfg_.phys_size);
-        const Addr hi1 = std::min<Addr>(end, 2 * cfg_.phys_size);
-        if (lo1 < hi1)
-            fn(lo1 - cfg_.phys_size, hi1 - lo1);
-    };
     nvm_dev_.store().forEachTouchedRange(
         [&](Addr a, const std::uint8_t*, std::size_t len) {
-            mapNvm(a, len);
+            const Addr end = a + len;
+            if (a < cfg_.phys_size) {
+                const Addr hi = std::min<Addr>(end, cfg_.phys_size);
+                fn(a, hi - a);
+            }
+            const Addr lo1 = std::max<Addr>(a, cfg_.phys_size);
+            const Addr hi1 = std::min<Addr>(end, 2 * cfg_.phys_size);
+            if (lo1 < hi1)
+                fn(lo1 - cfg_.phys_size, hi1 - lo1);
         });
-    nvm_port_.forEachStagedWriteAddr(
-        [&](Addr a) { mapNvm(a, kBlockSize); });
     // Pages faulted into the DRAM working set shadow whatever is in
     // NVM for reads.
     for (const auto& [page, r] : resident_)

@@ -158,10 +158,6 @@ ThyNvmController::forEachTouchedPhysRange(
             if (a < cfg_.phys_size)
                 fn(a, std::min(len, cfg_.phys_size - a));
         });
-    nvm_port_.forEachStagedWriteAddr([&](Addr a) {
-        if (a < cfg_.phys_size)
-            fn(a, kBlockSize);
-    });
     btt_.forEachLive([&](std::size_t, const BttEntry& e) {
         fn(e.block_paddr, kBlockSize);
     });

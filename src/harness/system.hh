@@ -169,8 +169,8 @@ class System
     /**
      * Ascending page-aligned addresses of every physical page that may
      * hold nonzero data through functionalView(): the controller's
-     * touched set (backing-store pages, staged writes, live remap
-     * entries) plus dirty cache lines. Pages not listed read zero, so
+     * touched set (backing-store pages, staged writes included, live
+     * remap entries) plus dirty cache lines. Pages not listed read zero, so
      * whole-image capture is O(touched) instead of O(capacity).
      */
     std::vector<Addr> touchedPhysPages() const;

@@ -139,10 +139,10 @@ class MemController : public SimObject, public BlockAccessor
      * reported range reads zero via functionalRead(). Ranges may
      * overlap, repeat, and be reported in any order — callers dedup
      * (e.g. into a page bitmap). Concrete controllers override this
-     * with the union of their touched backing-store pages, staged port
-     * writes, and live remap-table entries, making whole-image capture
-     * and mirror rebuilds O(touched) instead of O(capacity); the
-     * default conservatively reports the entire space.
+     * with the union of their touched backing-store pages (port writes
+     * land there when sent) and live remap-table entries, making
+     * whole-image capture and mirror rebuilds O(touched) instead of
+     * O(capacity); the default conservatively reports the entire space.
      */
     virtual void
     forEachTouchedPhysRange(

@@ -79,7 +79,6 @@ MemDevice::MemDevice(EventQueue& eq, std::string name,
         slots_[i].next = free_head_;
         free_head_ = i;
     }
-    undo_log_.reserve(2u * params_.write_queue_capacity);
 
     stats().addScalar("reads", &reads_, "read requests serviced");
     stats().addScalar("writes", &writes_, "write requests serviced");
@@ -137,7 +136,6 @@ MemDevice::freeSlot(std::uint32_t idx)
     Slot& sl = slots_[idx];
     sl.on_complete = nullptr;
     sl.in_service = false;
-    sl.undo_index = kNullSlot;
     sl.prev = kNullSlot;
     sl.next = free_head_;
     free_head_ = idx;
@@ -185,20 +183,45 @@ MemDevice::scanForRow(std::uint32_t from, std::uint64_t row) const
 void
 MemDevice::compactUndoLog()
 {
-    if (undo_log_.size() < 2u * params_.write_queue_capacity)
-        return;
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < undo_log_.size(); ++i) {
-        if (undo_log_[i].slot == kNullSlot)
-            continue;
-        if (out != i) {
-            undo_log_[out] = undo_log_[i];
-            slots_[undo_log_[out].slot].undo_index =
-                static_cast<std::uint32_t>(out);
-        }
-        ++out;
+    undo_log_.erase(std::remove_if(undo_log_.begin(), undo_log_.end(),
+                                   [](const UndoEntry& e) {
+                                       return e.slot == kNullSlot;
+                                   }),
+                    undo_log_.end());
+    // What is left is the queued writes' entries, then the staged ones.
+    for (std::size_t i = 0; i < write_count_; ++i)
+        slots_[undo_log_[i].slot].undo_index = undo_base_ + i;
+    staged_head_ = undo_base_ + write_count_;
+}
+
+std::uint32_t
+MemDevice::enqueue(Addr addr, TrafficSource source, bool is_write,
+                   std::function<void()> on_complete)
+{
+    const std::uint32_t idx = allocSlot();
+    Slot& sl = slots_[idx];
+    sl.addr = addr;
+    sl.row = rowOf(addr);
+    sl.enqueue_tick = curTick();
+    sl.seq = next_seq_++;
+    sl.on_complete = std::move(on_complete);
+    sl.source = source;
+    sl.is_write = is_write;
+    sl.in_service = false;
+
+    Bank& bank = banks_[bankOf(addr)];
+    BankQueue& bq = bank.q[is_write ? 1 : 0];
+    linkTail(bq, idx);
+    if (bank.row_valid && bank.open_row == sl.row && bq.hit == kNullSlot)
+        bq.hit = idx;
+    ++(is_write ? write_count_ : read_count_);
+
+    if (!schedule_event_.scheduled()) {
+        // Defer scheduling to a zero-delay event so a burst of enqueues
+        // in the same tick is scheduled as one batch.
+        eventq_.schedule(schedule_event_, curTick());
     }
-    undo_log_.resize(out);
+    return idx;
 }
 
 bool
@@ -211,30 +234,36 @@ MemDevice::enqueueRead(Addr addr, TrafficSource source,
              static_cast<unsigned long long>(addr), params_.capacity);
     if (read_count_ >= params_.read_queue_capacity)
         return false;
+    enqueue(addr, source, false, std::move(on_complete));
+    return true;
+}
 
-    const std::uint32_t idx = allocSlot();
-    Slot& sl = slots_[idx];
-    sl.addr = addr;
-    sl.row = rowOf(addr);
-    sl.enqueue_tick = curTick();
-    sl.seq = next_seq_++;
-    sl.on_complete = std::move(on_complete);
-    sl.source = source;
-    sl.is_write = false;
-    sl.in_service = false;
+void
+MemDevice::stageWrite(Addr addr, const std::uint8_t* data)
+{
+    panic_if(addr % kBlockSize != 0, "unaligned device request");
+    panic_if(addr + kBlockSize > params_.capacity,
+             "device request beyond capacity: addr=%llu cap=%zu",
+             static_cast<unsigned long long>(addr), params_.capacity);
+    // Save undo bytes for crash rollback, then apply functionally.
+    UndoEntry& ue = undo_log_.emplace_back();
+    ue.addr = addr;
+    ue.slot = kStagedSlot;
+    store_->read(addr, ue.old_data.data(), kBlockSize);
+    store_->write(addr, data, kBlockSize);
+}
 
-    Bank& bank = banks_[bankOf(addr)];
-    BankQueue& bq = bank.q[0];
-    linkTail(bq, idx);
-    if (bank.row_valid && bank.open_row == sl.row && bq.hit == kNullSlot)
-        bq.hit = idx;
-    ++read_count_;
-
-    if (!schedule_event_.scheduled()) {
-        // Defer scheduling to a zero-delay event so a burst of enqueues
-        // in the same tick is scheduled as one batch.
-        eventq_.schedule(schedule_event_, curTick());
-    }
+bool
+MemDevice::enqueueStagedWrite(Addr addr, TrafficSource source,
+                              std::function<void()> on_complete)
+{
+    if (write_count_ >= params_.write_queue_capacity)
+        return false;
+    panic_if(stagedWrites() == 0, "no staged write to enqueue");
+    UndoEntry& ue = undoAt(staged_head_);
+    panic_if(ue.addr != addr, "enqueued write is not the oldest staged one");
+    ue.slot = enqueue(addr, source, true, std::move(on_complete));
+    slots_[ue.slot].undo_index = staged_head_++;
     return true;
 }
 
@@ -243,44 +272,12 @@ MemDevice::enqueueWrite(Addr addr, const std::uint8_t* data,
                         TrafficSource source,
                         std::function<void()> on_complete)
 {
-    panic_if(addr % kBlockSize != 0, "unaligned device request");
-    panic_if(addr + kBlockSize > params_.capacity,
-             "device request beyond capacity: addr=%llu cap=%zu",
-             static_cast<unsigned long long>(addr), params_.capacity);
     if (write_count_ >= params_.write_queue_capacity)
         return false;
-
-    const std::uint32_t idx = allocSlot();
-    Slot& sl = slots_[idx];
-    sl.addr = addr;
-    sl.row = rowOf(addr);
-    sl.enqueue_tick = curTick();
-    sl.seq = next_seq_++;
-    sl.on_complete = std::move(on_complete);
-    sl.source = source;
-    sl.is_write = true;
-    sl.in_service = false;
-
-    // Save undo bytes for crash rollback, then apply functionally.
-    compactUndoLog();
-    sl.undo_index = static_cast<std::uint32_t>(undo_log_.size());
-    undo_log_.emplace_back();
-    UndoEntry& ue = undo_log_.back();
-    ue.addr = addr;
-    ue.slot = idx;
-    store_->read(addr, ue.old_data.data(), kBlockSize);
-    store_->write(addr, data, kBlockSize);
-
-    Bank& bank = banks_[bankOf(addr)];
-    BankQueue& bq = bank.q[1];
-    linkTail(bq, idx);
-    if (bank.row_valid && bank.open_row == sl.row && bq.hit == kNullSlot)
-        bq.hit = idx;
-    ++write_count_;
-
-    if (!schedule_event_.scheduled())
-        eventq_.schedule(schedule_event_, curTick());
-    return true;
+    panic_if(stagedWrites() != 0,
+             "direct device write while staged writes are pending");
+    stageWrite(addr, data);
+    return enqueueStagedWrite(addr, source, std::move(on_complete));
 }
 
 void
@@ -340,6 +337,7 @@ MemDevice::quiesce()
     write_count_ = 0;
     in_flight_ = 0;
     undo_log_.clear();
+    staged_head_ = undo_base_;
     read_accept_cbs_.clear();
     write_accept_cbs_.clear();
     drain_cbs_.clear();
@@ -497,9 +495,19 @@ MemDevice::finishService(std::uint32_t idx, std::uint64_t seq)
         write_bytes_by_source_[static_cast<std::size_t>(sl.source)] +=
             kBlockSize;
         // The write is durable; its pre-image must not be replayed.
-        if (sl.undo_index != kNullSlot)
-            undo_log_[sl.undo_index].slot = kNullSlot;
+        undoAt(sl.undo_index).slot = kNullSlot;
         --write_count_;
+        // Dead entries mostly leave from the front. Compacting once the
+        // rest reach live + 2 x queue capacity keeps the log under
+        // 2 x (live + queue capacity); each pass at least halves it.
+        while (!undo_log_.empty() && undo_log_.front().slot == kNullSlot) {
+            undo_log_.pop_front();
+            ++undo_base_;
+        }
+        const std::size_t live = liveUndoEntries();
+        if (undo_log_.size() - live >=
+            live + 2u * params_.write_queue_capacity)
+            compactUndoLog();
     } else {
         ++reads_;
         read_bytes_ += kBlockSize;
@@ -515,14 +523,11 @@ MemDevice::finishService(std::uint32_t idx, std::uint64_t seq)
         cb();
 
     fireAcceptCallbacks(is_write);
-    if (is_write && write_count_ == 0) {
-        undo_log_.clear();
-        if (!drain_cbs_.empty()) {
-            auto cbs = std::move(drain_cbs_);
-            drain_cbs_.clear();
-            for (auto& drain_cb : cbs)
-                drain_cb();
-        }
+    if (is_write && write_count_ == 0 && !drain_cbs_.empty()) {
+        auto cbs = std::move(drain_cbs_);
+        drain_cbs_.clear();
+        for (auto& drain_cb : cbs)
+            drain_cb();
     }
 
     trySchedule();

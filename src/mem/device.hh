@@ -18,14 +18,15 @@
  *    rediscovered by scanning the whole queue every pass.
  *  - Completions resolve by slot index in O(1); no search, no erase.
  *  - Undo bytes for crash rollback live in a per-device append-only
- *    undo log (truncated whenever the write queue drains), so queued
- *    requests carry no block-sized payloads at all.
+ *    undo log, so neither queued requests nor a staging port's FIFO
+ *    carry block-sized payloads; compaction costs amortized O(1) per write.
  */
 
 #ifndef THYNVM_MEM_DEVICE_HH
 #define THYNVM_MEM_DEVICE_HH
 
 #include <array>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -72,12 +73,13 @@ struct DeviceParams
 /**
  * A banked memory device with timing and functional state.
  *
- * Functional semantics: write data hits the backing store at *enqueue*
- * time so that producers can immediately read their own writes. For crash
- * fidelity every accepted write appends (addr, previous bytes) to the
- * device's undo log; crash() replays the log backwards over all writes
- * that the timing model had not yet serviced, leaving exactly the bytes
- * a real device would hold after power loss.
+ * Functional semantics: write data hits the backing store when it is
+ * *staged* (at enqueue, or at send time through a DevicePort) so that
+ * producers can immediately read their own writes. For crash fidelity
+ * every staged write appends (addr, previous bytes) to the device's undo
+ * log; crash() replays the log backwards over all writes that the timing
+ * model had not yet serviced, leaving exactly the bytes a real device
+ * would hold after power loss.
  */
 class MemDevice : public SimObject
 {
@@ -104,14 +106,30 @@ class MemDevice : public SimObject
                      std::function<void()> on_complete = {});
 
     /**
-     * Enqueue a write of one block. Returns false (and does nothing) if
-     * the write queue is full. @p data (kBlockSize bytes) is applied to
-     * the backing store immediately on acceptance; the queued request
-     * itself carries no payload.
+     * Stage and enqueue a write of one block. Returns false (and does
+     * nothing) if the write queue is full. @p data (kBlockSize bytes)
+     * is applied to the backing store immediately on acceptance; the
+     * queued request itself carries no payload.
      */
     bool enqueueWrite(Addr addr, const std::uint8_t* data,
                       TrafficSource source,
                       std::function<void()> on_complete = {});
+
+    /**
+     * Stage a write of one block ahead of its enqueue: @p data is
+     * applied to the backing store now and its pre-image logged, so
+     * crash() rolls it back until the write is serviced. Staged writes
+     * must be enqueued, by enqueueStagedWrite(), in staging order, and
+     * nothing else may write the device while any is pending.
+     */
+    void stageWrite(Addr addr, const std::uint8_t* data);
+
+    /**
+     * Enqueue the oldest staged write, which must target @p addr.
+     * Returns false (and does nothing) if the write queue is full.
+     */
+    bool enqueueStagedWrite(Addr addr, TrafficSource source,
+                            std::function<void()> on_complete = {});
 
     /** Register a one-shot callback for when queue space frees up. */
     void notifyWhenAccepting(bool is_write, std::function<void()> cb);
@@ -123,18 +141,32 @@ class MemDevice : public SimObject
     void notifyWhenWritesDrained(std::function<void()> cb);
 
     /**
-     * Power-loss semantics: roll back queued-but-unserviced writes (in
-     * reverse enqueue order), drop all queued requests and callbacks.
-     * The event queue is assumed to be abandoned by the caller.
+     * Power-loss semantics: roll back unserviced writes, queued or
+     * staged (in reverse staging order), drop all queued requests and
+     * callbacks. The event queue is assumed to be abandoned by the
+     * caller.
      */
     void crash();
 
     /**
      * Drop all queued requests and callbacks but keep the functional
-     * contents (no rollback). Used by the idealized systems, whose
-     * crash consistency is free by assumption.
+     * contents, staged writes included (no rollback). Used by the
+     * idealized systems, whose crash consistency is free by assumption.
      */
     void quiesce();
+
+    /** Undo-log entries, dead ones included. */
+    std::size_t undoLogSize() const { return undo_log_.size(); }
+    /** Undo-log entries of writes not yet serviced. */
+    std::size_t liveUndoEntries() const
+    {
+        return stagedWrites() + write_count_;
+    }
+    /** Staged writes not yet enqueued. */
+    std::size_t stagedWrites() const
+    {
+        return undo_base_ + undo_log_.size() - staged_head_;
+    }
 
     /** Total bytes written, by traffic source. */
     std::uint64_t writeBytes(TrafficSource s) const;
@@ -162,7 +194,7 @@ class MemDevice : public SimObject
         std::uint32_t prev = kNullSlot;
         std::uint32_t next = kNullSlot;
         /** Owning undo-log entry (writes only). */
-        std::uint32_t undo_index = kNullSlot;
+        std::uint64_t undo_index = 0;
         TrafficSource source = TrafficSource::DemandRead;
         bool is_write = false;
         bool in_service = false;
@@ -191,11 +223,15 @@ class MemDevice : public SimObject
         BankQueue q[2];
     };
 
+    /** UndoEntry::slot of a write staged but not yet enqueued. */
+    static constexpr std::uint32_t kStagedSlot = 0xfffffffeu;
+
     /** One saved pre-image in the append-only undo log. */
     struct UndoEntry
     {
         Addr addr = 0;
-        /** Owning write slot; kNullSlot once that write is durable. */
+        /** Owning write slot; kStagedSlot until the write is enqueued,
+         *  kNullSlot once it is durable. */
         std::uint32_t slot = kNullSlot;
         std::array<std::uint8_t, kBlockSize> old_data{};
     };
@@ -209,8 +245,12 @@ class MemDevice : public SimObject
     void unlink(BankQueue& bq, std::uint32_t idx);
     /** Oldest slot with @p row in the chain starting at @p from. */
     std::uint32_t scanForRow(std::uint32_t from, std::uint64_t row) const;
-    /** Drop dead entries once the undo log outgrows its watermark. */
+    /** Drop the undo log's dead entries. */
     void compactUndoLog();
+    UndoEntry& undoAt(std::size_t i) { return undo_log_[i - undo_base_]; }
+    /** Queue a request in a free slot (capacity already checked). */
+    std::uint32_t enqueue(Addr addr, TrafficSource source, bool is_write,
+                          std::function<void()> on_complete);
 
     /** Try to start servicing queued requests; schedules completions. */
     void trySchedule();
@@ -248,7 +288,12 @@ class MemDevice : public SimObject
     /** Requests in timed service (completion event pending). */
     unsigned in_flight_ = 0;
 
-    std::vector<UndoEntry> undo_log_;
+    /** A deque, so a staged burst grows it without copying and durable
+     *  entries pop off the front; indices are undo_base_ + position. */
+    std::deque<UndoEntry> undo_log_;
+    std::size_t undo_base_ = 0;
+    /** Oldest staged entry: staged writes are the log's tail. */
+    std::size_t staged_head_ = 0;
 
     bool draining_writes_ = false;
     std::uint64_t next_seq_ = 0;

@@ -300,5 +300,122 @@ TEST(PortTest, DurabilityOrderingForCommitRecords)
     EXPECT_TRUE(dev.writesDrained());
 }
 
+/** A device whose one-deep write queue makes the next write stage. */
+DeviceParams
+oneDeepNvm()
+{
+    auto p = smallNvm();
+    p.write_queue_capacity = 1;
+    p.write_drain_high = 1;
+    p.write_drain_low = 0;
+    return p;
+}
+
+std::array<std::uint8_t, kBlockSize>
+storeBlock(const MemDevice& dev, Addr addr)
+{
+    std::array<std::uint8_t, kBlockSize> out{};
+    dev.store().read(addr, out.data(), kBlockSize);
+    return out;
+}
+
+TEST(PortTest, CrashKeepsOnlyServicedWriteOfABlock)
+{
+    EventQueue eq;
+    MemDevice dev(eq, "dev", oneDeepNvm());
+    DevicePort port(dev);
+    const auto serviced = patternBlock(30);
+    const auto queued = patternBlock(31);
+    const auto staged = patternBlock(32);
+
+    port.sendWrite(640, serviced.data(), TrafficSource::DemandRead);
+    eq.run();
+    port.sendWrite(640, queued.data(), TrafficSource::DemandRead);
+    port.sendWrite(640, staged.data(), TrafficSource::DemandRead);
+    ASSERT_FALSE(dev.writesDrained()); // accepted, not serviced
+    ASSERT_EQ(port.pendingWrites(), 1u);
+    ASSERT_EQ(dev.stagedWrites(), 1u);
+    // Write-through: the store already holds the newest sent write.
+    EXPECT_EQ(storeBlock(dev, 640), staged);
+
+    port.crash();
+    dev.crash();
+    EXPECT_EQ(storeBlock(dev, 640), serviced);
+    EXPECT_EQ(dev.undoLogSize(), 0u);
+    EXPECT_EQ(dev.stagedWrites(), 0u);
+}
+
+TEST(PortTest, QuiesceKeepsStagedData)
+{
+    EventQueue eq;
+    MemDevice dev(eq, "dev", oneDeepNvm());
+    DevicePort port(dev);
+    for (unsigned i = 0; i < 4; ++i) {
+        const auto data = patternBlock(40 + i);
+        port.sendWrite(64 * i, data.data(), TrafficSource::DemandRead);
+    }
+    ASSERT_EQ(port.pendingWrites(), 3u);
+    port.crash();
+    dev.quiesce();
+    for (unsigned i = 0; i < 4; ++i)
+        EXPECT_EQ(storeBlock(dev, 64 * i), patternBlock(40 + i));
+
+    // The port and device carry traffic again afterwards.
+    const auto next = patternBlock(50);
+    bool durable = false;
+    port.sendWrite(0, next.data(), TrafficSource::DemandRead);
+    port.notifyWhenWritesDurable([&] { durable = true; });
+    eq.runUntil([&] { return durable; });
+    EXPECT_EQ(storeBlock(dev, 0), next);
+    EXPECT_EQ(dev.undoLogSize(), 0u);
+}
+
+TEST(DeviceTest, DirectWriteAppliesAtOnceAndRollsBack)
+{
+    EventQueue eq;
+    MemDevice dev(eq, "dev", smallNvm());
+    const auto data = patternBlock(60);
+    ASSERT_TRUE(dev.enqueueWrite(1024, data.data(),
+                                 TrafficSource::CpuWriteback));
+    EXPECT_EQ(storeBlock(dev, 1024), data);
+    EXPECT_EQ(dev.stagedWrites(), 0u);
+    EXPECT_EQ(dev.liveUndoEntries(), 1u);
+    dev.crash();
+    EXPECT_EQ(storeBlock(dev, 1024), (std::array<std::uint8_t, kBlockSize>{}));
+}
+
+TEST(PortTest, UndoLogStaysBoundedThroughABurst)
+{
+    EventQueue eq;
+    MemDevice dev(eq, "dev", smallNvm());
+    DevicePort port(dev);
+    const std::size_t cap = dev.params().write_queue_capacity;
+    constexpr unsigned kWrites = 10000;
+    constexpr unsigned kBlocks = 4096; // repeats: chains of pre-images
+    for (unsigned i = 0; i < kWrites; ++i) {
+        const auto data = patternBlock(i);
+        port.sendWrite((i % kBlocks) * kBlockSize, data.data(),
+                       TrafficSource::Checkpoint);
+    }
+    EXPECT_EQ(dev.liveUndoEntries(), kWrites);
+    bool durable = false;
+    port.notifyWhenWritesDurable([&] { durable = true; });
+    std::size_t peak = 0;
+    eq.runUntil([&] {
+        const std::size_t live = dev.liveUndoEntries();
+        EXPECT_LE(dev.undoLogSize(), 2 * live + 2 * cap);
+        peak = std::max(peak, dev.undoLogSize());
+        return durable;
+    });
+    EXPECT_EQ(peak, kWrites);
+    EXPECT_EQ(dev.undoLogSize(), 0u);
+    EXPECT_EQ(dev.stagedWrites(), 0u);
+    EXPECT_EQ(dev.totalWriteBytes(), kWrites * kBlockSize);
+    for (unsigned b = 0; b < kBlocks; b += 1023) {
+        const unsigned last = b + ((kWrites - 1 - b) / kBlocks) * kBlocks;
+        EXPECT_EQ(storeBlock(dev, b * kBlockSize), patternBlock(last));
+    }
+}
+
 } // namespace
 } // namespace thynvm

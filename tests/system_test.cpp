@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/epoch_controller.hh"
 #include "harness/system.hh"
 #include "workloads/kvstore.hh"
 #include "workloads/micro.hh"
@@ -118,6 +119,70 @@ TEST(SystemTest, CheckpointingSystemsCompleteEpochs)
         sys.run(2 * kSecond);
         ASSERT_TRUE(sys.finished()) << systemKindName(kind);
         EXPECT_GE(sys.metrics().epochs, 1u) << systemKindName(kind);
+    }
+}
+
+/** True while a checkpointing controller runs a checkpoint. */
+bool
+checkpointInProgress(MemController& ctrl)
+{
+    if (auto* e = dynamic_cast<EpochController*>(&ctrl))
+        return e->checkpointInProgress();
+    if (auto* t = dynamic_cast<ThyNvmController*>(&ctrl))
+        return t->checkpointInProgress();
+    return false;
+}
+
+/**
+ * Port writes apply to the device's store when they are sent, so the
+ * store's touched ranges alone must cover data still staged in a port.
+ * Stop each kind at several instants while writes are staged — inside
+ * a checkpoint for the checkpointing kinds, in the uncached store
+ * stream for the ideal ones, which never checkpoint — and check that
+ * capturing only the touched pages gives the image a read of the whole
+ * space gives.
+ */
+TEST(SystemTest, TouchedPagesCoverStagedWritesOnEveryKind)
+{
+    for (SystemKind kind : kAllSystemKinds) {
+        MicroWorkload::Params mp;
+        mp.pattern = MicroWorkload::Pattern::Random;
+        mp.array_bytes = 3u << 20;
+        mp.total_accesses = 20000;
+        MicroWorkload wl(mp);
+        SystemConfig cfg = smallSystem(kind);
+        cfg.epoch_length = 100 * kMicrosecond;
+        cfg.channels = 1;
+        const bool ckpt = kind != SystemKind::IdealDram &&
+                          kind != SystemKind::IdealNvm;
+        cfg.use_caches = ckpt;
+        System sys(cfg, wl);
+        sys.start();
+        Tick not_before = 0;
+        const auto staged = [&] {
+            MemController& c = sys.controller();
+            if (sys.eventq().now() < not_before)
+                return false;
+            for (MemDevice* d : {c.nvmDevice(), c.dramDevice()}) {
+                if (d != nullptr && d->stagedWrites() > 0)
+                    return !ckpt || checkpointInProgress(c);
+            }
+            return false;
+        };
+        for (int stop = 0; stop < 4; ++stop) {
+            sys.run(kSecond, staged);
+            ASSERT_TRUE(staged()) << systemKindName(kind) << " stop " << stop;
+            not_before = sys.eventq().now() + 30 * kMicrosecond;
+
+            std::vector<std::uint8_t> full(cfg.phys_size);
+            FunctionalView view = sys.functionalView();
+            view(0, full.data(), full.size());
+            std::vector<std::uint8_t> touched(cfg.phys_size, 0);
+            for (Addr page : sys.touchedPhysPages())
+                view(page, touched.data() + page, kPageSize);
+            EXPECT_EQ(touched, full)
+                << systemKindName(kind) << " stop " << stop;
+        }
     }
 }
 
