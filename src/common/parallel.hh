@@ -150,21 +150,28 @@ hardwareThreads()
 }
 
 /**
- * Count from environment variable @p name: its whole value must be a
- * decimal integer in [1, UINT_MAX]. @return 0 when it is unset or
- * holds anything else (a sign, trailing characters, an out-of-range
- * value); callers treat 0 as "not set".
+ * Count spelled by @p s: its whole value must be a decimal integer in
+ * [1, UINT_MAX]. @return 0 when it holds anything else (a sign,
+ * trailing characters, an out-of-range value).
+ */
+inline unsigned
+parseCount(const char* s)
+{
+    const char* end = s + std::strlen(s);
+    unsigned v = 0;
+    const auto [ptr, ec] = std::from_chars(s, end, v);
+    return ec == std::errc() && ptr == end ? v : 0;
+}
+
+/**
+ * Count from environment variable @p name (see parseCount()), or 0
+ * when it is unset or invalid; callers treat 0 as "not set".
  */
 inline unsigned
 countFromEnv(const char* name)
 {
     const char* env = std::getenv(name);
-    if (env == nullptr)
-        return 0;
-    const char* end = env + std::strlen(env);
-    unsigned v = 0;
-    const auto [ptr, ec] = std::from_chars(env, end, v);
-    return ec == std::errc() && ptr == end ? v : 0;
+    return env != nullptr ? parseCount(env) : 0;
 }
 
 /**
