@@ -116,19 +116,6 @@ struct ChannelCell
     std::uint64_t messages = 0;
 };
 
-/** Events executed across the core queue and every channel queue. */
-std::uint64_t
-totalEvents(System& sys)
-{
-    std::uint64_t ev = sys.eventq().eventsExecuted();
-    if (sys.channels() > 1) {
-        auto& grp = static_cast<ChannelGroup&>(sys.controller());
-        for (unsigned i = 0; i < grp.channelCount(); ++i)
-            ev += grp.channelEventq(i).eventsExecuted();
-    }
-    return ev;
-}
-
 ChannelCell
 measureChannelCell(unsigned channels)
 {
@@ -146,7 +133,7 @@ measureChannelCell(unsigned channels)
 
     ChannelCell r;
     r.channels = channels;
-    r.events = totalEvents(sys);
+    r.events = sys.eventq().eventsExecuted();
     r.host_seconds = host;
     r.events_per_sec =
         host > 0.0 ? static_cast<double>(r.events) / host : 0.0;

@@ -248,7 +248,7 @@ runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
     // Land the power failure on a tick boundary: drain every event at
     // or before the planned crash tick, then pull the plug.
     sys.runTo(reg.crashTick());
-    res.crash_tick = sys.eventq().now();
+    res.crash_tick = sys.now();
     res.commits_before = sys.controller().completedEpochs();
     std::shared_ptr<BackingStore> nvm = sys.crash();
 

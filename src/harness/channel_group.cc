@@ -10,6 +10,8 @@
 #include <cstring>
 #include <ostream>
 
+#include "mem/commit_record.hh"
+
 namespace thynvm {
 
 ChannelGroup::ChannelGroup(EventQueue& eq, std::string name,
@@ -47,9 +49,8 @@ ChannelGroup::ChannelGroup(EventQueue& eq, std::string name,
     chs_.reserve(cfg_.channels);
     for (unsigned i = 0; i < cfg_.channels; ++i) {
         auto ch = std::make_unique<Channel>();
-        ch->eq = std::make_unique<EventQueue>();
         ch->ctrl = buildController(
-            cfg_, *ch->eq, this->name() + ".ch" + std::to_string(i),
+            cfg_, eventq_, this->name() + ".ch" + std::to_string(i),
             std::make_shared<BackingStore>(root_store_, i * slice, slice),
             [this, i] { postToCore(i, [this] { resumeArrived(); }); });
         // Per-channel crash-site prefixes give each channel its own site
@@ -90,7 +91,7 @@ ChannelGroup::~ChannelGroup() = default;
 // ----------------------------------------------------------------------
 
 void
-ChannelGroup::send(EventQueue& target, Tick when, unsigned link,
+ChannelGroup::send(EventQueue::Lane target, unsigned link,
                    std::function<void()> fn)
 {
     // The FIFO counters are never reset, so a message's key stays unique
@@ -98,25 +99,23 @@ ChannelGroup::send(EventQueue& target, Tick when, unsigned link,
     std::uint64_t& fifo = link_fifo_[link];
     panic_if(fifo >> 40, "channel link %u exhausted its 2^40 message "
                          "order keys", link);
-    target.scheduleMessage(when,
-                           EventQueue::kMessageOrderBit |
-                               (std::uint64_t{link} << 40) | fifo++,
-                           std::move(fn));
+    eventq_.scheduleMessage(curTick() + kChannelLookahead, target,
+                            EventQueue::kMessageOrderBit |
+                                (std::uint64_t{link} << 40) | fifo++,
+                            std::move(fn));
     ++messages_;
 }
 
 void
 ChannelGroup::postToChannel(unsigned i, std::function<void()> fn)
 {
-    send(*chs_[i]->eq, curTick() + kChannelLookahead, 2 * i,
-         std::move(fn));
+    send(channelLane(i), 2 * i, std::move(fn));
 }
 
 void
 ChannelGroup::postToCore(unsigned i, std::function<void()> fn)
 {
-    send(eventq_, chs_[i]->eq->now() + kChannelLookahead, 2 * i + 1,
-         std::move(fn));
+    send(kCoreLane, 2 * i + 1, std::move(fn));
 }
 
 // ----------------------------------------------------------------------
@@ -231,8 +230,10 @@ void
 ChannelGroup::start()
 {
     halted_ = false;
-    for (auto& ch : chs_)
-        ch->ctrl->start();
+    for (unsigned i = 0; i < cfg_.channels; ++i) {
+        const EventQueue::LaneScope lane(eventq_, channelLane(i));
+        chs_[i]->ctrl->start();
+    }
 }
 
 void
@@ -240,7 +241,6 @@ ChannelGroup::crash()
 {
     for (auto& ch : chs_) {
         ch->ctrl->crash();
-        ch->eq->clear();
         ch->flush_run = nullptr;
         ch->gate_resume = nullptr;
         ch->boundary_seq = 0;
@@ -282,22 +282,28 @@ ChannelGroup::recover(std::function<void()> done)
              static_cast<unsigned long long>(mx));
 
     // Recover every channel to the minimum committed epoch — one
-    // consistent cut — pumping each channel's queue so its timed
-    // recovery traffic executes.
-    for (auto& ch : chs_) {
-        bool ok = false;
-        ch->ctrl->recoverTo(mn, [&ok] { ok = true; });
-        ch->eq->runUntil([&ok] { return ok; });
+    // consistent cut — each on its own lane; the recoveries run side by
+    // side, and the last one to finish completes the group's.
+    RecoveryJoin join(recoveries_, [this, done = std::move(done)] {
+        recovered_cpu_ = chs_[0]->ctrl->recoveredCpuState();
+        rebuildMirror();
+        done();
+    });
+    for (unsigned i = 0; i < cfg_.channels; ++i) {
+        const EventQueue::LaneScope lane(eventq_, channelLane(i));
+        chs_[i]->ctrl->recoverTo(mn, join.track());
     }
-    recovered_cpu_ = chs_[0]->ctrl->recoveredCpuState();
+    join.arrive()(); // balance the join's initial count
+}
 
-    // Rebuild the core-side functional mirror from the recovered
-    // channel images. Clear it first (a second crash in the same life
-    // could otherwise leave stale pre-crash data where the recovered
-    // image is zero), then pull only the ranges each channel reports
-    // as touched: every unreported local byte functionally reads zero,
-    // which the cleared mirror already holds — O(touched) instead of
-    // O(capacity).
+void
+ChannelGroup::rebuildMirror()
+{
+    // Clear the mirror first (a second crash in the same life could
+    // otherwise leave stale pre-crash data where the recovered image is
+    // zero), then pull only the ranges each channel reports as touched:
+    // every unreported local byte functionally reads zero, which the
+    // cleared mirror already holds — O(touched) instead of O(capacity).
     mirror_.clear();
     const std::size_t ch_phys = il_.localCapacity(cfg_.phys_size);
     for (unsigned ci = 0; ci < cfg_.channels; ++ci) {
@@ -315,26 +321,17 @@ ChannelGroup::recover(std::function<void()> done)
             }
         }
     }
-
-    // Align every clock to the slowest channel (recovery is a reboot:
-    // the machine comes back at one instant) and land the completion
-    // on the core queue at that tick.
-    Tick t = curTick();
-    for (auto& ch : chs_)
-        t = std::max(t, ch->eq->now());
-    for (auto& ch : chs_)
-        ch->eq->run(t);
-    ++recoveries_;
-    eventq_.schedule(t, std::move(done));
 }
 
 void
 ChannelGroup::requestEpochEnd()
 {
     // A software-forced boundary from outside the stepping loop: every
-    // channel starts it at its own clock.
-    for (auto& ch : chs_)
-        ch->ctrl->requestEpochEnd();
+    // channel starts it on its own lane.
+    for (unsigned i = 0; i < cfg_.channels; ++i) {
+        const EventQueue::LaneScope lane(eventq_, channelLane(i));
+        chs_[i]->ctrl->requestEpochEnd();
+    }
 }
 
 void

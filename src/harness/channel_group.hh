@@ -6,13 +6,16 @@
  *
  * The group presents the MemController interface to the cache
  * hierarchy, so the rest of the System is unchanged. Internally it owns
- * C channels, each with its *own* event queue — the channel's clock.
- * Channels exchange messages with the core queue (CPU + caches + group)
- * over the modeled channel interconnect: every message is scheduled
- * straight onto the target queue one kChannelLookahead hop after the
- * sender's tick, and the System steps all queues in one serial loop in
- * global tick order (System::run), so a send can never land behind its
- * target's clock.
+ * C channels, all on the System's one event queue, each on its own
+ * lane: the core (CPU + caches + group) is kCoreLane and channel i is
+ * channelLane(i), so at one tick the core runs first, then the
+ * channels in index order (EventQueue's comparator). A channel's
+ * events run on its lane and schedule on it; the group's direct calls
+ * into a channel (start, recover, requestEpochEnd) enter its lane
+ * through an EventQueue::LaneScope. Core and channels exchange
+ * messages over the modeled channel interconnect: every message lands
+ * on its target lane one kChannelLookahead hop after the sender's
+ * tick.
  *
  * Functional/timing split across the interconnect: the group keeps a
  * core-side functional mirror of the software-visible memory so reads
@@ -39,8 +42,8 @@
  *
  * Recovery probes every channel's durably committed epoch, panics if
  * the spread exceeds one (the barrier guarantees it cannot), recovers
- * every channel to the minimum, rebuilds the functional mirror, and
- * aligns all clocks to the slowest channel.
+ * every channel to the minimum side by side, and rebuilds the
+ * functional mirror once the last channel is done.
  */
 
 #ifndef THYNVM_HARNESS_CHANNEL_GROUP_HH
@@ -70,9 +73,19 @@ class ChannelGroup : public MemController
      */
     static constexpr Tick kChannelLookahead = 40 * kNanosecond;
 
+    /** The core's lane: the CPU, the caches and the group itself. */
+    static constexpr EventQueue::Lane kCoreLane = 0;
+
+    /** Channel @p i's lane. */
+    static constexpr EventQueue::Lane
+    channelLane(unsigned i)
+    {
+        return i + 1;
+    }
+
     /**
-     * @param eq the core event queue (the group itself runs on the
-     *        core queue; channels own their queues).
+     * @param eq the System's event queue; the group runs on its core
+     *        lane and builds every channel controller on it.
      * @param cfg the whole machine; cfg.channels must be a power of
      *        two >= 2, and each channel's controller comes from
      *        buildController(cfg, ...).
@@ -106,6 +119,7 @@ class ChannelGroup : public MemController
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
     void start() override;
     void crash() override;
+    /** @p done runs in the event that completes the last channel's. */
     void recover(std::function<void()> done) override;
     std::uint64_t committedEpoch() const override;
     void requestEpochEnd() override;
@@ -129,7 +143,7 @@ class ChannelGroup : public MemController
      * Halt every channel once the workload has finished (idempotent
      * until the next start() or crash()): a halt message to each
      * channel stops its epoch timer from re-arming, so the channel
-     * queues drain to empty.
+     * lanes drain to empty.
      */
     void halt() override;
 
@@ -141,13 +155,11 @@ class ChannelGroup : public MemController
     {
         return *chs_[i]->ctrl;
     }
-    EventQueue& channelEventq(unsigned i) { return *chs_[i]->eq; }
     const ChannelInterleaver& interleaver() const { return il_; }
 
   private:
     struct Channel
     {
-        std::unique_ptr<EventQueue> eq;
         std::unique_ptr<MemController> ctrl;
         /** Deferred boundary-flush continuation (channel side). */
         std::function<void()> flush_run;
@@ -158,16 +170,20 @@ class ChannelGroup : public MemController
     };
 
     /**
-     * Cross-channel message helpers: deliver @p fn on the target queue
+     * Cross-channel message helpers: deliver @p fn on the target lane
      * one kChannelLookahead hop after the sender's tick. Link 2*i is
      * core->channel i and 2*i+1 is channel i->core; a message's order
      * key is its link and that link's FIFO position, so same-tick
-     * deliveries run in a fixed order after every local event.
+     * deliveries run in a fixed order after the target lane's local
+     * events.
      */
     void postToChannel(unsigned i, std::function<void()> fn);
     void postToCore(unsigned i, std::function<void()> fn);
-    void send(EventQueue& target, Tick when, unsigned link,
+    void send(EventQueue::Lane target, unsigned link,
               std::function<void()> fn);
+
+    /** Refill the functional mirror from the recovered channels. */
+    void rebuildMirror();
 
     // Coordinator fan-ins (core side).
     void flushRequested(std::uint64_t seq);

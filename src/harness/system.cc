@@ -119,7 +119,7 @@ System::start()
 {
     workload_.setFunctionalView(functionalView());
     workload_.init(*controller_);
-    start_tick_ = eq_.now();
+    start_tick_ = now();
     controller_->start();
     cpu_->start();
 }
@@ -131,53 +131,40 @@ System::recoverAndResume()
     bool recovered = false;
     controller_->recover([&recovered] { recovered = true; });
     eq_.runUntil([&recovered] { return recovered; });
+    // The core resumes at the tick the last channel finished recovery.
+    core_tick_ = eq_.now();
 
     const auto& blob = controller_->recoveredCpuState();
     if (!blob.empty())
         cpu_->restoreArchState(blob);
-    start_tick_ = eq_.now();
+    start_tick_ = now();
     controller_->start();
     cpu_->start();
 }
 
-Tick
-System::latestTick() const
-{
-    Tick t = eq_.now();
-    for (unsigned i = 0; i < channels_; ++i)
-        t = std::max(t, group_->channelEventq(i).now());
-    return t;
-}
-
 template <typename Stop>
 void
-System::stepQueues(Tick limit, Tick cut, Stop&& stop)
+System::stepLanes(Tick limit, Tick cut, Stop&& stop)
 {
-    // Every cross-channel message lands one interconnect hop after its
-    // sender's tick, so executing the earliest pending event first
-    // never delivers a message behind its target's clock. Like the
-    // one-channel loop, the step that reaches the limit is the last.
-    Tick clock = latestTick();
-    while (clock < limit) {
-        EventQueue* next = &eq_;
-        Tick when = kMaxTick;
+    // Like the one-channel loop, the step that reaches the limit is the
+    // last.
+    while (eq_.now() < limit) {
         // A finished workload halts the channels once, so their epoch
-        // timers stop re-arming and their queues drain.
-        if (cpu_->finished())
+        // timers stop re-arming and their lanes drain; the core's
+        // leftover events are dropped, never run.
+        const bool finished = cpu_->finished();
+        if (finished)
             group_->halt();
-        else
-            when = eq_.nextTick();
-        for (unsigned i = 0; i < channels_; ++i) {
-            EventQueue& q = group_->channelEventq(i);
-            if (q.nextTick() < when) {
-                next = &q;
-                when = q.nextTick();
-            }
-        }
-        if (when == kMaxTick || when > cut)
+        if (eq_.empty() || eq_.nextTick() > cut)
             return;
-        next->step();
-        clock = when;
+        const bool core = eq_.nextLane() == ChannelGroup::kCoreLane;
+        if (core && finished) {
+            eq_.drop();
+            continue;
+        }
+        eq_.step();
+        if (core)
+            core_tick_ = eq_.now();
         if (stop())
             return;
     }
@@ -195,15 +182,15 @@ System::advance(Tick duration, Stop&& stop)
             if (stop())
                 break;
         }
-        return eq_.now();
+        return now();
     }
-    const Tick from = latestTick();
+    const Tick from = eq_.now();
     const Tick limit =
         duration > kMaxTick - from ? kMaxTick : from + duration;
     const std::uint64_t sent = group_->messagesSent();
-    stepQueues(limit, kMaxTick, stop);
+    stepLanes(limit, kMaxTick, stop);
     kernel_messages_ = group_->messagesSent() - sent;
-    return eq_.now();
+    return now();
 }
 
 Tick
@@ -226,7 +213,7 @@ System::runTo(Tick cut)
             eq_.step();
         return;
     }
-    stepQueues(kMaxTick, cut, [] { return false; });
+    stepLanes(kMaxTick, cut, [] { return false; });
 }
 
 std::shared_ptr<BackingStore>
@@ -246,7 +233,7 @@ System::crash()
 void
 System::dumpStats(std::ostream& os)
 {
-    os << "tick=" << eq_.now() << "\n";
+    os << "tick=" << now() << "\n";
     cpu_->stats().dump(os);
     if (cfg_.use_caches) {
         l1_->stats().dump(os);
@@ -263,7 +250,7 @@ RunMetrics
 System::metrics() const
 {
     RunMetrics m;
-    m.exec_time = eq_.now() - start_tick_;
+    m.exec_time = now() - start_tick_;
     m.instructions = cpu_->instructions();
     const double cycles = static_cast<double>(m.exec_time) /
                           static_cast<double>(cfg_.cpu.cycle_period);

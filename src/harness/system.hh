@@ -53,7 +53,8 @@ struct SystemConfig
      * single-controller topology, >1 (a power of two) interleaves the
      * physical space over that many channels at cache-block
      * granularity, each channel an independent controller + device set
-     * with its own event queue (harness/channel_group.hh).
+     * on its own lane of the System's event queue
+     * (harness/channel_group.hh).
      */
     unsigned channels = 0;
 
@@ -121,13 +122,13 @@ class System
 
     /**
      * Advance simulation until the workload finishes or @p duration
-     * ticks elapse. @return the core queue's tick.
+     * ticks elapse. @return now().
      *
-     * A multi-channel topology steps the core queue (while the workload
-     * is unfinished) and every channel queue in one serial loop, always
-     * executing the earliest pending event; @p duration is measured
-     * from the latest tick any queue has reached. Once the workload
-     * finishes the channels are halted, and they drain in later steps.
+     * A multi-channel topology steps every lane of the one queue in
+     * its order; @p duration is measured from the queue's tick, which
+     * may be ahead of now(). Once the workload finishes the channels
+     * are halted and drain in later steps, and the core lane's
+     * leftover events are dropped.
      */
     Tick run(Tick duration = kMaxTick);
 
@@ -140,9 +141,16 @@ class System
     /**
      * Deterministically execute exactly the events with tick <= @p cut
      * (the fuzzer's crash cut). On a multi-channel topology the core
-     * queue stops when the workload finishes, exactly like run().
+     * lane stops when the workload finishes, exactly like run().
      */
     void runTo(Tick cut);
+
+    /**
+     * The machine's clock: the tick of the core lane's last event (CPU,
+     * caches, controller). It is the queue's tick on a single-channel
+     * topology; channel lanes may run ahead of it.
+     */
+    Tick now() const { return group_ == nullptr ? eq_.now() : core_tick_; }
 
     /** Effective channel count of this topology (>= 1). */
     unsigned channels() const { return channels_; }
@@ -199,16 +207,13 @@ class System
     void flushCaches(std::function<void()> done);
     template <typename Stop>
     Tick advance(Tick duration, Stop&& stop);
-    /** Latest tick any of this machine's queues has reached. */
-    Tick latestTick() const;
     /**
-     * The multi-channel stepping loop: execute the earliest pending
-     * event over the core queue (while the workload is unfinished) and
-     * every channel queue, while the latest tick reached is below
-     * @p limit, the event's tick is <= @p cut, and @p stop is false.
+     * The multi-channel stepping loop: execute the next event while
+     * the queue's tick is below @p limit, the event's tick is <= @p cut
+     * and @p stop is false.
      */
     template <typename Stop>
-    void stepQueues(Tick limit, Tick cut, Stop&& stop);
+    void stepLanes(Tick limit, Tick cut, Stop&& stop);
 
     SystemConfig cfg_;
     Workload& workload_;
@@ -222,6 +227,8 @@ class System
     std::unique_ptr<Cache> l1_;
     std::unique_ptr<TraceCpu> cpu_;
     Tick start_tick_ = 0;
+    /** now() on a multi-channel topology. */
+    Tick core_tick_ = 0;
     std::uint64_t kernel_messages_ = 0;
 };
 

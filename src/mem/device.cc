@@ -283,12 +283,10 @@ MemDevice::enqueueWrite(Addr addr, const std::uint8_t* data,
 void
 MemDevice::notifyWhenAccepting(bool is_write, std::function<void()> cb)
 {
-    if (canAccept(is_write)) {
-        eventq_.scheduleIn(0, std::move(cb));
-        return;
-    }
-    auto& cbs = is_write ? write_accept_cbs_ : read_accept_cbs_;
-    cbs.push_back(std::move(cb));
+    panic_if(canAccept(is_write), "waiting on a %s queue that has room",
+             is_write ? "write" : "read");
+    setAcceptHook(is_write, std::move(cb));
+    armAcceptHook(is_write);
 }
 
 bool
@@ -338,8 +336,7 @@ MemDevice::quiesce()
     in_flight_ = 0;
     undo_log_.clear();
     staged_head_ = undo_base_;
-    read_accept_cbs_.clear();
-    write_accept_cbs_.clear();
+    accept_armed_ = {};
     drain_cbs_.clear();
     // The caller abandons the event queue, so any pending scheduling or
     // completion events are gone; cancel the reusable events.
@@ -522,7 +519,7 @@ MemDevice::finishService(std::uint32_t idx, std::uint64_t seq)
     if (cb)
         cb();
 
-    fireAcceptCallbacks(is_write);
+    fireAcceptHook(is_write);
     if (is_write && write_count_ == 0 && !drain_cbs_.empty()) {
         auto cbs = std::move(drain_cbs_);
         drain_cbs_.clear();
@@ -534,17 +531,12 @@ MemDevice::finishService(std::uint32_t idx, std::uint64_t seq)
 }
 
 void
-MemDevice::fireAcceptCallbacks(bool is_write)
+MemDevice::fireAcceptHook(bool is_write)
 {
-    if (!canAccept(is_write))
+    if (!accept_armed_[is_write] || !canAccept(is_write))
         return;
-    auto& cbs = is_write ? write_accept_cbs_ : read_accept_cbs_;
-    if (cbs.empty())
-        return;
-    auto pending = std::move(cbs);
-    cbs.clear();
-    for (auto& cb : pending)
-        cb();
+    accept_armed_[is_write] = false;
+    accept_hooks_[is_write]();
 }
 
 void

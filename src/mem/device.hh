@@ -131,7 +131,27 @@ class MemDevice : public SimObject
     bool enqueueStagedWrite(Addr addr, TrafficSource source,
                             std::function<void()> on_complete = {});
 
-    /** Register a one-shot callback for when queue space frees up. */
+    /**
+     * Install the hook the device calls when a slot of the given
+     * direction frees while the hook is armed, replacing any earlier
+     * one. A DevicePort installs one per direction when it is built.
+     */
+    void
+    setAcceptHook(bool is_write, std::function<void()> hook)
+    {
+        accept_hooks_[is_write] = std::move(hook);
+    }
+
+    /**
+     * Arm the hook of the given direction: it fires once, when the next
+     * slot of that direction frees. quiesce() and crash() disarm it.
+     */
+    void armAcceptHook(bool is_write) { accept_armed_[is_write] = true; }
+
+    /**
+     * One-shot wakeup for a caller the device refused: install @p cb as
+     * the hook and arm it. The queue must be full.
+     */
     void notifyWhenAccepting(bool is_write, std::function<void()> cb);
 
     /** True if no writes are queued or in flight. */
@@ -264,7 +284,7 @@ class MemDevice : public SimObject
     /** Begin timed service of the request in slot @p idx. */
     void startService(std::uint32_t idx);
     void finishService(std::uint32_t idx, std::uint64_t seq);
-    void fireAcceptCallbacks(bool is_write);
+    void fireAcceptHook(bool is_write);
     /**
      * Arm the bank-ready wakeup: when requests wait but no completion
      * is pending (possible after quiesce() left banks busy), schedule
@@ -302,8 +322,9 @@ class MemDevice : public SimObject
     /** Bank-ready wakeup when no completion will drive scheduling. */
     Event wakeup_event_;
 
-    std::vector<std::function<void()>> read_accept_cbs_;
-    std::vector<std::function<void()>> write_accept_cbs_;
+    /** Accept hooks and whether each is armed, indexed by is_write. */
+    std::array<std::function<void()>, 2> accept_hooks_;
+    std::array<bool, 2> accept_armed_{};
     std::vector<std::function<void()>> drain_cbs_;
 
     // Statistics.

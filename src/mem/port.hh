@@ -4,7 +4,8 @@
  *
  * Controllers can always send into a port; the port issues requests to
  * the device as queue space frees up, providing backpressure through
- * acceptance callbacks instead of rejections. Reads and writes are staged
+ * the device's accept hooks (installed once, armed while the port is
+ * blocked) instead of rejections. Reads and writes are staged
  * in separate FIFOs so demand reads are not head-of-line blocked behind
  * checkpoint write bursts; this is safe because data is resolved
  * *functionally* at send time (see MemController::access contract) and
@@ -41,7 +42,17 @@ class DevicePort
 {
   public:
     /** @param dev the device this port feeds. */
-    explicit DevicePort(MemDevice& dev) : dev_(dev) {}
+    explicit DevicePort(MemDevice& dev) : dev_(dev)
+    {
+        dev_.setAcceptHook(false, [this] {
+            read_blocked_ = false;
+            tryIssueReads();
+        });
+        dev_.setAcceptHook(true, [this] {
+            write_blocked_ = false;
+            tryIssueWrites();
+        });
+    }
 
     DevicePort(const DevicePort&) = delete;
     DevicePort& operator=(const DevicePort&) = delete;
@@ -162,10 +173,7 @@ class DevicePort
         while (!read_fifo_.empty()) {
             if (!dev_.canAccept(false)) {
                 read_blocked_ = true;
-                dev_.notifyWhenAccepting(false, [this] {
-                    read_blocked_ = false;
-                    tryIssueReads();
-                });
+                dev_.armAcceptHook(false);
                 return;
             }
             ReadItem item = std::move(read_fifo_.front());
@@ -186,10 +194,7 @@ class DevicePort
         while (!write_fifo_.empty()) {
             if (!dev_.canAccept(true)) {
                 write_blocked_ = true;
-                dev_.notifyWhenAccepting(true, [this] {
-                    write_blocked_ = false;
-                    tryIssueWrites();
-                });
+                dev_.armAcceptHook(true);
                 return;
             }
             WriteItem item = std::move(write_fifo_.front());

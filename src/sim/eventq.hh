@@ -2,13 +2,20 @@
  * @file
  * The discrete-event simulation kernel.
  *
- * An EventQueue orders callbacks by tick (picoseconds) with FIFO tie
- * breaking, so simulation outcomes are fully deterministic. Components
+ * An EventQueue orders callbacks by tick (picoseconds), then by lane,
+ * then FIFO, so simulation outcomes are fully deterministic. Components
  * schedule either ad-hoc lambdas or reusable Event objects.
  *
+ * Lanes: a multi-channel machine runs its core and every channel on one
+ * queue, each on its own lane (ChannelGroup); a single-channel machine
+ * uses lane 0 only. A new event takes the current lane: the running
+ * event's, or one a LaneScope sets for a direct call into another
+ * lane's component. Only a cross-lane message (scheduleMessage) names
+ * its target lane. At one tick the lower lane runs first.
+ *
  * Hot-path design (DESIGN.md "Simulator performance"):
- *  - The queue orders 24-byte keys {when, seq, slot} and nothing else.
- *    A key names a payload slot that holds the callback: an inline
+ *  - The queue orders 24-byte keys {when, seq, slot, lane} and nothing
+ *    else. A key names a payload slot that holds the callback: an inline
  *    callable (InlineFn; captures up to 48 bytes, which covers every
  *    callback the simulator schedules, never touch the heap) or a
  *    reusable Event plus the generation it was queued under. Heap
@@ -22,8 +29,9 @@
  *    through a FIFO of keys whose storage is reused, so steady-state
  *    scheduling performs zero heap allocations.
  *  - A single global sequence number orders the FIFO against the heap,
- *    preserving exact tick+FIFO semantics regardless of which path an
- *    item took.
+ *    preserving exact (tick, lane, FIFO) semantics regardless of which
+ *    path an item took. A same-tick key whose lane sorts before the
+ *    FIFO's last key takes the heap, so the FIFO stays sorted.
  */
 
 #ifndef THYNVM_SIM_EVENTQ_HH
@@ -179,8 +187,34 @@ class EventQueue
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
 
+    /** Lane number; see the file comment. */
+    using Lane = std::uint32_t;
+
+    /**
+     * Sets the queue's current lane for its lifetime and restores the
+     * previous one on exit or unwind. step() runs every event inside
+     * one, so code outside any event is on the lane of the enclosing
+     * scope (lane 0 by default).
+     */
+    class LaneScope
+    {
+      public:
+        LaneScope(EventQueue& eq, Lane lane) : eq_(eq), saved_(eq.lane_)
+        {
+            eq.lane_ = lane;
+        }
+        ~LaneScope() { eq_.lane_ = saved_; }
+
+      private:
+        EventQueue& eq_;
+        Lane saved_;
+    };
+
     /** Current simulated time. */
     Tick now() const { return now_; }
+
+    /** Lane new local events are tagged with. */
+    Lane lane() const { return lane_; }
 
     /** Schedule a one-shot callback at absolute tick @p when. */
     template <typename F>
@@ -192,7 +226,7 @@ class EventQueue
                  static_cast<unsigned long>(now_));
         const std::uint32_t slot = allocSlot();
         slotAt(slot).fn.emplace(std::forward<F>(fn));
-        push(Key{when, seq_++, slot});
+        push(Key{when, seq_++, slot, lane_});
     }
 
     /** Schedule a one-shot callback @p delta ticks from now. */
@@ -204,32 +238,33 @@ class EventQueue
     }
 
     /**
-     * High bit of a cross-queue message order key. Locally scheduled
+     * High bit of a cross-lane message order key. Locally scheduled
      * callbacks draw their tie-break sequence from a counter that can
      * never reach this bit, so a delivery sorts after every local
-     * callback of the same tick — "traffic arrives at the end of the
-     * tick" — no matter when the sender scheduled it.
+     * callback of its lane at the same tick — "traffic arrives at the
+     * end of the tick" — no matter when the sender scheduled it, and
+     * still before any event of a higher lane.
      */
     static constexpr std::uint64_t kMessageOrderBit = 1ull << 63;
 
     /**
-     * Schedule a message from another queue at absolute tick @p when
-     * with an explicit tie-break key in place of the arrival sequence
-     * number. A multi-channel ChannelGroup builds @p order_key from
-     * the link id and the per-link FIFO index (with kMessageOrderBit
-     * set), both pure functions of simulated state, so same-tick
-     * deliveries execute in a fixed order.
+     * Schedule a message to @p lane at absolute tick @p when with an
+     * explicit tie-break key in place of the arrival sequence number.
+     * A multi-channel ChannelGroup builds @p order_key from the link id
+     * and the per-link FIFO index (with kMessageOrderBit set), both
+     * pure functions of simulated state, so same-tick deliveries
+     * execute in a fixed order.
      */
     template <typename F>
     void
-    scheduleMessage(Tick when, std::uint64_t order_key, F&& fn)
+    scheduleMessage(Tick when, Lane lane, std::uint64_t order_key, F&& fn)
     {
         panic_if(when < now_, "delivering a message in the past");
         panic_if((order_key & kMessageOrderBit) == 0,
                  "message order key without kMessageOrderBit");
         const std::uint32_t slot = allocSlot();
         slotAt(slot).fn.emplace(std::forward<F>(fn));
-        pushHeap(Key{when, order_key, slot});
+        pushHeap(Key{when, order_key, slot, lane});
     }
 
     /** Schedule a reusable @p event at absolute tick @p when. */
@@ -244,7 +279,7 @@ class EventQueue
         Slot& s = slotAt(slot);
         s.event = &event;
         s.generation = event.generation_;
-        push(Key{when, seq_++, slot});
+        push(Key{when, seq_++, slot, lane_});
     }
 
     /** Cancel a pending @p event. No-op if not scheduled. */
@@ -257,27 +292,15 @@ class EventQueue
         ++event.generation_; // invalidate the queued firing lazily
     }
 
-    /** Remove and run the single earliest event. */
+    /** Remove and run the single earliest event, on its own lane. */
     void
     step()
     {
         panic_if(empty(), "stepping an empty event queue");
-        // The FIFO holds only keys at the current tick, so it can only
-        // lose the tie against a heap key at that same tick that was
-        // scheduled earlier (smaller sequence number).
-        Key key{};
-        if (fifo_head_ != fifo_.size() &&
-            (heap_.empty() || Later{}(heap_.front(), fifo_[fifo_head_]))) {
-            key = fifo_[fifo_head_++];
-            if (fifo_head_ == fifo_.size())
-                rewindFifo();
-        } else {
-            std::pop_heap(heap_.begin(), heap_.end(), Later{});
-            key = heap_.back();
-            heap_.pop_back();
-        }
+        const Key key = pop();
         panic_if(key.when < now_, "event queue went backwards");
         now_ = key.when;
+        const LaneScope lane(*this, key.lane);
         Slot& s = slotAt(key.slot);
         if (Event* event = s.event) {
             const bool live = event->generation_ == s.generation;
@@ -320,7 +343,22 @@ class EventQueue
     Tick
     nextTick() const
     {
-        return empty() ? kMaxTick : nextWhen();
+        return empty() ? kMaxTick : front().when;
+    }
+
+    /** Lane of the earliest pending event; the queue must not be empty. */
+    Lane nextLane() const { return front().lane; }
+
+    /**
+     * Remove the earliest pending event without running it, as clear()
+     * drops every one: its captures are released, a reusable Event is
+     * left descheduled, and time does not move.
+     */
+    void
+    drop()
+    {
+        panic_if(empty(), "dropping from an empty event queue");
+        releaseSlot(pop().slot);
     }
 
     /** Callbacks executed since construction (perf instrumentation). */
@@ -355,7 +393,7 @@ class EventQueue
     Tick
     run(Tick limit = kMaxTick)
     {
-        while (!empty() && nextWhen() <= limit)
+        while (!empty() && front().when <= limit)
             step();
         if (now_ < limit && limit != kMaxTick)
             now_ = limit;
@@ -388,6 +426,7 @@ class EventQueue
         Tick when;
         std::uint64_t seq;
         std::uint32_t slot;
+        Lane lane;
     };
     static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
 
@@ -402,7 +441,7 @@ class EventQueue
         std::uint64_t generation = 0;
     };
 
-    /** Min-heap comparator: later (when, seq) sinks. */
+    /** Min-heap comparator: later (when, lane, seq) sinks. */
     struct Later
     {
         bool
@@ -410,6 +449,8 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
+            if (a.lane != b.lane)
+                return a.lane > b.lane;
             return a.seq > b.seq;
         }
     };
@@ -449,9 +490,44 @@ class EventQueue
     }
 
     /**
-     * Drop a pending slot's callback as part of clear(): release a
-     * callable's captures, or leave a still-queued reusable event
-     * descheduled.
+     * True if the FIFO head is the earliest pending key. The FIFO holds
+     * only keys at the current tick, so it can only lose to a heap key
+     * at that tick that sorts first.
+     */
+    bool
+    fifoFirst() const
+    {
+        return fifo_head_ != fifo_.size() &&
+               (heap_.empty() || Later{}(heap_.front(), fifo_[fifo_head_]));
+    }
+
+    /** The earliest pending key; the queue must not be empty. */
+    const Key&
+    front() const
+    {
+        return fifoFirst() ? fifo_[fifo_head_] : heap_.front();
+    }
+
+    /** Remove and return the earliest pending key. */
+    Key
+    pop()
+    {
+        if (fifoFirst()) {
+            const Key key = fifo_[fifo_head_++];
+            if (fifo_head_ == fifo_.size())
+                rewindFifo();
+            return key;
+        }
+        std::pop_heap(heap_.begin(), heap_.end(), Later{});
+        const Key key = heap_.back();
+        heap_.pop_back();
+        return key;
+    }
+
+    /**
+     * Drop a pending slot's callback as part of clear() or drop():
+     * release a callable's captures, or leave a still-queued reusable
+     * event descheduled.
      */
     void
     releaseSlot(std::uint32_t slot)
@@ -472,14 +548,18 @@ class EventQueue
     void
     push(const Key& key)
     {
-        if (key.when == now_) {
-            if (fifo_head_ == fifo_.size())
-                rewindFifo();
-            fifo_.push_back(key);
-            ++fast_path_schedules_;
-        } else {
+        // A new key has the largest sequence number, so it keeps the
+        // FIFO sorted unless its lane sorts before the FIFO's last key
+        // (a direct call on a lower lane at the current tick).
+        if (key.when != now_ ||
+            (fifo_head_ != fifo_.size() && key.lane < fifo_.back().lane)) {
             pushHeap(key);
+            return;
         }
+        if (fifo_head_ == fifo_.size())
+            rewindFifo();
+        fifo_.push_back(key);
+        ++fast_path_schedules_;
     }
 
     void
@@ -497,17 +577,6 @@ class EventQueue
         fifo_head_ = 0;
     }
 
-    /** Earliest pending tick; queue must not be empty. */
-    Tick
-    nextWhen() const
-    {
-        if (fifo_head_ == fifo_.size())
-            return heap_.front().when;
-        if (heap_.empty())
-            return fifo_[fifo_head_].when;
-        return std::min(fifo_[fifo_head_].when, heap_.front().when);
-    }
-
     std::vector<Key> heap_;
     /** Same-tick keys; [fifo_head_, size) are pending. */
     std::vector<Key> fifo_;
@@ -516,6 +585,7 @@ class EventQueue
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::vector<std::uint32_t> free_;
     Tick now_ = 0;
+    Lane lane_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t events_executed_ = 0;
     std::uint64_t fast_path_schedules_ = 0;

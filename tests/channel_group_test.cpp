@@ -2,21 +2,19 @@
  * @file
  * Tests for the multi-channel topology's host-side mechanics:
  *
- *  - ChannelGroup on its own: every core<->channel message is scheduled
- *    straight onto the target queue one kChannelLookahead hop after the
- *    sender's tick, same-link messages keep FIFO order, a delivery runs
- *    after the target's local events of the same tick, and halt() posts
- *    one message per channel until the next start() or crash().
+ *  - ChannelGroup on its own: every core<->channel message lands on
+ *    the target lane one kChannelLookahead hop after the sender's tick,
+ *    same-link messages keep FIFO order, a delivery runs after the
+ *    target lane's local events of the same tick, and halt() posts one
+ *    message per channel until the next start() or crash().
  *
- *  - System's serial stepping loop over the core queue and the channel
- *    queues: it always executes the earliest pending event, so no queue
- *    is ever left behind a pending event; run(d), runTo(cut) and the
- *    stop predicate end exactly where they say; a finished workload
- *    halts and drains the channels; and cutting a run anywhere resumes
- *    to the byte-identical result of one call.
+ *  - System's stepping loop over the lanes of its one queue: run(d),
+ *    runTo(cut) and the stop predicate end exactly where they say; a
+ *    finished workload halts and drains the channels and drops the
+ *    core lane's leftovers; a crash empties the queue; and cutting a
+ *    run anywhere resumes to the byte-identical result of one call.
  */
 
-#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -45,47 +43,16 @@ groupConfig(SystemKind kind, unsigned channels)
     return gc;
 }
 
-/** A standalone group on its own core queue, stepped in tick order. */
+/** A standalone group on its own queue. */
 struct GroupRig
 {
     explicit GroupRig(unsigned channels,
                       SystemKind kind = SystemKind::IdealNvm)
-        : group(core, "grp", groupConfig(kind, channels), nullptr)
+        : group(eq, "grp", groupConfig(kind, channels), nullptr)
     {
     }
 
-    /** The queue holding the earliest pending event, or nullptr. */
-    EventQueue*
-    earliest()
-    {
-        EventQueue* next = core.empty() ? nullptr : &core;
-        for (unsigned i = 0; i < group.channelCount(); ++i) {
-            EventQueue& q = group.channelEventq(i);
-            if (!q.empty() && (next == nullptr ||
-                               q.nextTick() < next->nextTick()))
-                next = &q;
-        }
-        return next;
-    }
-
-    /** Step every queue in global tick order until all are empty. */
-    void
-    drain()
-    {
-        while (EventQueue* q = earliest())
-            q->step();
-    }
-
-    std::vector<std::size_t>
-    channelQueueSizes()
-    {
-        std::vector<std::size_t> sizes;
-        for (unsigned i = 0; i < group.channelCount(); ++i)
-            sizes.push_back(group.channelEventq(i).size());
-        return sizes;
-    }
-
-    EventQueue core;
+    EventQueue eq;
     ChannelGroup group;
 };
 
@@ -97,46 +64,42 @@ TEST(ChannelGroupTest, AccessIsDeliveredToItsChannelOneHopLater)
         for (Addr block = 0; block < 3 * channels; ++block) {
             const Addr paddr = block * kBlockSize;
             const unsigned ch = rig.group.interleaver().channelOf(paddr);
-            std::vector<std::size_t> want = rig.channelQueueSizes();
-            ++want[ch];
             const bool is_write = block % 2 == 0;
+            const Tick sent = rig.eq.now();
             rig.group.accessBlock(paddr, is_write, buf.data(), buf.data(),
                                   is_write ? TrafficSource::CpuWriteback
                                            : TrafficSource::DemandRead,
                                   [] {});
-            EXPECT_EQ(rig.channelQueueSizes(), want)
+            EXPECT_EQ(rig.eq.size(), 1u);
+            EXPECT_EQ(rig.eq.nextTick(), sent + kHop)
                 << "channels=" << channels << " block=" << block;
-            EXPECT_EQ(rig.group.channelEventq(ch).nextTick(), kHop)
+            EXPECT_EQ(rig.eq.nextLane(), ChannelGroup::channelLane(ch))
                 << "channels=" << channels << " block=" << block;
+            rig.eq.run();
         }
-        EXPECT_TRUE(rig.core.empty());
-        EXPECT_EQ(rig.group.messagesSent(), 3u * channels);
-        rig.drain();
         EXPECT_EQ(rig.group.messagesSent(), 6u * channels);
     }
 }
 
-TEST(ChannelGroupTest, ReplyCompletesOnTheCoreQueue)
+TEST(ChannelGroupTest, ReplyCompletesOnTheCoreLane)
 {
     GroupRig rig(2);
     std::vector<std::uint8_t> buf(kBlockSize);
     Tick done_at = kMaxTick;
-    EventQueue* stepping = nullptr;
-    EventQueue* done_on = nullptr;
+    EventQueue::Lane done_on = ~0u;
     rig.group.accessBlock(0, false, nullptr, buf.data(),
                           TrafficSource::DemandRead, [&] {
-                              done_at = rig.core.now();
-                              done_on = stepping;
+                              done_at = rig.eq.now();
+                              done_on = rig.eq.lane();
                           });
     Tick channel_last = 0;
-    while (EventQueue* q = rig.earliest()) {
-        stepping = q;
-        if (q != &rig.core)
-            channel_last = q->nextTick();
-        q->step();
+    while (!rig.eq.empty()) {
+        if (rig.eq.nextLane() != ChannelGroup::kCoreLane)
+            channel_last = rig.eq.nextTick();
+        rig.eq.step();
     }
     ASSERT_NE(done_at, kMaxTick) << "the read never completed";
-    EXPECT_EQ(done_on, &rig.core);
+    EXPECT_EQ(done_on, ChannelGroup::kCoreLane);
     // The reply is posted by the channel's last event and lands one hop
     // later; the request took one hop out, plus the device service time.
     EXPECT_EQ(done_at, channel_last + kHop);
@@ -160,7 +123,7 @@ TEST(ChannelGroupTest, MirrorServesDataBeforeDelivery)
     rig.group.accessBlock(paddr, false, nullptr, filled.data(),
                           TrafficSource::DemandRead, [] {});
     EXPECT_EQ(filled, data);
-    rig.drain();
+    rig.eq.run();
 }
 
 TEST(ChannelGroupTest, SameTickWritesOnOneLinkApplyInSendOrder)
@@ -175,7 +138,7 @@ TEST(ChannelGroupTest, SameTickWritesOnOneLinkApplyInSendOrder)
                           TrafficSource::CpuWriteback, [] {});
     rig.group.accessBlock(paddr, true, second.data(), nullptr,
                           TrafficSource::CpuWriteback, [] {});
-    rig.drain();
+    rig.eq.run();
     std::array<std::uint8_t, kBlockSize> home{};
     rig.group.channelController(ch).functionalRead(local, home.data(),
                                                    kBlockSize);
@@ -188,59 +151,65 @@ TEST(ChannelGroupTest, DeliveryRunsAfterTheTargetsLocalEventsOfItsTick)
     const Addr paddr = 0;
     const unsigned ch = rig.group.interleaver().channelOf(paddr);
     const Addr local = rig.group.interleaver().localAddr(paddr);
-    EventQueue& target = rig.group.channelEventq(ch);
     MemController& ctrl = rig.group.channelController(ch);
     const auto data = test::patternBlock(3);
     rig.group.accessBlock(paddr, true, data.data(), nullptr,
                           TrafficSource::CpuWriteback, [] {});
-    // Scheduled after the send, at the delivery tick: it still runs
-    // first, and the message has not touched the channel yet.
+    // Scheduled on the target lane after the send, at the delivery
+    // tick: it still runs first, and the message has not touched the
+    // channel yet.
     std::array<std::uint8_t, kBlockSize> before{};
     bool ran = false;
-    target.schedule(kHop, [&] {
-        ran = true;
-        ctrl.functionalRead(local, before.data(), kBlockSize);
-    });
-    target.step();
+    {
+        const EventQueue::LaneScope lane(rig.eq,
+                                         ChannelGroup::channelLane(ch));
+        rig.eq.schedule(kHop, [&] {
+            ran = true;
+            ctrl.functionalRead(local, before.data(), kBlockSize);
+        });
+    }
+    rig.eq.step();
     ASSERT_TRUE(ran);
     EXPECT_EQ(before, (std::array<std::uint8_t, kBlockSize>{}));
-    target.step(); // the delivery
+    EXPECT_EQ(rig.eq.nextLane(), ChannelGroup::channelLane(ch));
+    rig.eq.step(); // the delivery
     std::array<std::uint8_t, kBlockSize> after{};
     ctrl.functionalRead(local, after.data(), kBlockSize);
     EXPECT_EQ(after, data);
-    rig.drain();
+    rig.eq.run();
 }
 
 TEST(ChannelGroupTest, HaltPostsOncePerChannelUntilRestart)
 {
     GroupRig rig(4, SystemKind::ThyNvm);
     rig.group.halt();
-    EXPECT_EQ(rig.group.messagesSent(), 4u);
-    for (unsigned i = 0; i < 4; ++i)
-        EXPECT_EQ(rig.group.channelEventq(i).nextTick(), kHop);
     rig.group.halt(); // idempotent
     EXPECT_EQ(rig.group.messagesSent(), 4u);
-    rig.drain();
+    // One message per channel, one hop out, in lane order.
+    for (unsigned i = 0; i < 4; ++i) {
+        EXPECT_EQ(rig.eq.nextTick(), kHop);
+        EXPECT_EQ(rig.eq.nextLane(), ChannelGroup::channelLane(i));
+        rig.eq.step();
+    }
+    EXPECT_TRUE(rig.eq.empty());
     rig.group.start();
     rig.group.halt();
     EXPECT_EQ(rig.group.messagesSent(), 8u);
 }
 
-TEST(ChannelGroupTest, CrashEmptiesChannelQueuesAndRearmsHalt)
+TEST(ChannelGroupTest, CrashRearmsHalt)
 {
     GroupRig rig(2, SystemKind::ThyNvm);
     rig.group.start();
     rig.group.halt();
     const std::uint64_t sent = rig.group.messagesSent();
     rig.group.crash();
-    for (unsigned i = 0; i < 2; ++i)
-        EXPECT_TRUE(rig.group.channelEventq(i).empty()) << "channel " << i;
     rig.group.halt();
     EXPECT_EQ(rig.group.messagesSent(), sent + 2);
 }
 
 // ---------------------------------------------------------------------
-// System's serial stepping loop.
+// System's stepping loop.
 // ---------------------------------------------------------------------
 
 /** Small micro run that crosses several 100 us coordinated epochs. */
@@ -277,32 +246,8 @@ struct SteppingRig
         return static_cast<ChannelGroup&>(sys->controller());
     }
 
-    std::vector<EventQueue*>
-    queues()
-    {
-        std::vector<EventQueue*> qs{&sys->eventq()};
-        for (unsigned i = 0; i < sys->channels(); ++i)
-            qs.push_back(&group().channelEventq(i));
-        return qs;
-    }
-
-    Tick
-    latest()
-    {
-        Tick t = 0;
-        for (EventQueue* q : queues())
-            t = std::max(t, q->now());
-        return t;
-    }
-
-    std::uint64_t
-    eventsExecuted()
-    {
-        std::uint64_t n = 0;
-        for (EventQueue* q : queues())
-            n += q->eventsExecuted();
-        return n;
-    }
+    EventQueue& eq() { return sys->eventq(); }
+    std::uint64_t eventsExecuted() { return eq().eventsExecuted(); }
 
     std::string
     stats()
@@ -330,37 +275,19 @@ class MultiChannelStepping : public ::testing::TestWithParam<unsigned>
 {
 };
 
-TEST_P(MultiChannelStepping, NoQueueIsLeftBehindAPendingEvent)
+TEST_P(MultiChannelStepping, RunLimitIsMeasuredFromTheQueueTick)
 {
     SteppingRig rig(GetParam());
     ASSERT_EQ(rig.sys->channels(), GetParam());
-    int slices = 0;
-    for (Tick d : {Tick{1}, 7 * kNanosecond, 3 * kMicrosecond,
-                   41 * kMicrosecond}) {
-        for (int i = 0; i < 40 && !rig.sys->finished(); ++i, ++slices) {
-            rig.sys->run(d);
-            const Tick latest = rig.latest();
-            for (EventQueue* q : rig.queues()) {
-                if (q == &rig.sys->eventq() && rig.sys->finished())
-                    continue; // the core is no longer stepped
-                EXPECT_GE(q->nextTick(), latest)
-                    << "slice " << slices << " of " << d << " ticks";
-            }
-        }
-    }
-    EXPECT_GT(slices, 100);
-}
-
-TEST_P(MultiChannelStepping, RunLimitIsMeasuredFromTheLatestQueue)
-{
-    SteppingRig rig(GetParam());
     for (int i = 0; i < 50 && !rig.sys->finished(); ++i) {
-        const Tick from = rig.latest();
+        const Tick from = rig.eq().now();
         const std::uint64_t before = rig.eventsExecuted();
-        rig.sys->run(5 * kMicrosecond);
+        const Tick end = rig.sys->run(5 * kMicrosecond);
+        // The core lane's clock never runs ahead of the queue's.
+        EXPECT_LE(end, rig.eq().now());
         EXPECT_GT(rig.eventsExecuted(), before);
         if (!rig.sys->finished()) {
-            EXPECT_GE(rig.latest(), from + 5 * kMicrosecond)
+            EXPECT_GE(rig.eq().now(), from + 5 * kMicrosecond)
                 << "slice " << i << " stopped short of its limit";
         }
     }
@@ -385,10 +312,8 @@ TEST_P(MultiChannelStepping, RunToExecutesExactlyTheEventsUpToTheCut)
                      170 * kMicrosecond, 333 * kMicrosecond}) {
         rig.sys->runTo(cut);
         ASSERT_FALSE(rig.sys->finished()) << "cut " << cut;
-        for (EventQueue* q : rig.queues()) {
-            EXPECT_LE(q->now(), cut);
-            EXPECT_GT(q->nextTick(), cut);
-        }
+        EXPECT_LE(rig.eq().now(), cut);
+        EXPECT_GT(rig.eq().nextTick(), cut);
     }
 }
 
@@ -427,10 +352,12 @@ TEST_P(MultiChannelStepping, FinishedRunHaltsAndDrainsEveryChannel)
     SteppingRig rig(GetParam());
     const Tick end = rig.sys->run();
     ASSERT_TRUE(rig.sys->finished());
-    EXPECT_EQ(end, rig.sys->eventq().now());
-    for (unsigned i = 0; i < rig.sys->channels(); ++i)
-        EXPECT_TRUE(rig.group().channelEventq(i).empty()) << "channel " << i;
-    // Nothing is left to step: a further run is a no-op.
+    EXPECT_EQ(end, rig.sys->now());
+    // The channels drained after the core lane's last event, whose
+    // leftovers were dropped: nothing is left to step, and a further
+    // run is a no-op.
+    EXPECT_LT(end, rig.eq().now());
+    EXPECT_TRUE(rig.eq().empty());
     const std::uint64_t events = rig.eventsExecuted();
     rig.sys->run();
     EXPECT_EQ(rig.eventsExecuted(), events);
@@ -451,6 +378,15 @@ TEST_P(MultiChannelStepping, KernelMessagesCountsTheLastRunOnly)
     total += rig.sys->kernelMessages();
     EXPECT_GT(slices, 1);
     EXPECT_EQ(total, rig.group().messagesSent());
+}
+
+TEST_P(MultiChannelStepping, CrashEmptiesTheQueue)
+{
+    SteppingRig rig(GetParam());
+    rig.sys->run(150 * kMicrosecond);
+    ASSERT_FALSE(rig.eq().empty());
+    rig.sys->crash();
+    EXPECT_TRUE(rig.eq().empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -247,6 +247,105 @@ TEST(EventQueueTest, CountsExecutedEventsAndFastPathSchedules)
 }
 
 // ---------------------------------------------------------------------
+// Lanes.
+// ---------------------------------------------------------------------
+
+TEST(EventQueueTest, SameTickEventsRunInLaneThenSequenceOrder)
+{
+    // Tag / 10 is the lane. Scheduled from outside (heap) and from
+    // inside a callback at the same tick: there only 21 and 22 join the
+    // FIFO, since a key whose lane sorts before the FIFO's last one
+    // takes the heap.
+    for (bool inside : {false, true}) {
+        EventQueue eq;
+        std::vector<int> order;
+        auto add = [&] {
+            for (int tag : {21, 0, 10, 1, 22, 2}) {
+                const EventQueue::LaneScope lane(eq, tag / 10);
+                eq.schedule(10, [&order, tag] { order.push_back(tag); });
+            }
+        };
+        if (inside)
+            eq.schedule(10, add);
+        else
+            add();
+        eq.run();
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 10, 21, 22}));
+        EXPECT_EQ(eq.fastPathSchedules(), inside ? 2u : 0u);
+    }
+}
+
+TEST(EventQueueTest, MessageRunsAfterItsLaneAndBeforeHigherLanes)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleMessage(10, 1, EventQueue::kMessageOrderBit,
+                       [&] { order.push_back(1); });
+    for (EventQueue::Lane lane : {2u, 1u, 0u}) {
+        const EventQueue::LaneScope scope(eq, lane);
+        eq.schedule(10, [&order, lane] { order.push_back(lane * 10); });
+    }
+    eq.run();
+    // Lane 0's event, lane 1's local event, the message to lane 1, then
+    // lane 2's event, although the message was scheduled first.
+    EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 20}));
+}
+
+TEST(EventQueueTest, DropReleasesCapturesAndDeschedulesEvents)
+{
+    EventQueue eq;
+    auto token = std::make_shared<int>(1);
+    int fired = 0;
+    Event ev([&fired] { ++fired; });
+    eq.schedule(5, [token] {});
+    {
+        const EventQueue::LaneScope lane(eq, 3);
+        eq.schedule(ev, 5);
+    }
+    EXPECT_EQ(eq.nextLane(), 0u);
+    eq.drop();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(eq.nextLane(), 3u);
+    eq.drop();
+    EXPECT_FALSE(ev.scheduled());
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.now(), 0u);
+    EXPECT_EQ(eq.eventsExecuted(), 0u);
+    eq.schedule(ev, 7);
+    eq.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_THROW(eq.drop(), PanicError);
+}
+
+TEST(EventQueueTest, LaneScopeRestoresOnExitAndUnwind)
+{
+    EventQueue eq;
+    EXPECT_EQ(eq.lane(), 0u);
+    {
+        const EventQueue::LaneScope outer(eq, 3);
+        {
+            const EventQueue::LaneScope inner(eq, 5);
+            EXPECT_EQ(eq.lane(), 5u);
+        }
+        EXPECT_EQ(eq.lane(), 3u);
+        try {
+            const EventQueue::LaneScope thrown(eq, 7);
+            throw PanicError("unwind");
+        } catch (const PanicError&) {
+        }
+        EXPECT_EQ(eq.lane(), 3u);
+        // step() runs an event on its own lane and restores the caller's.
+        EventQueue::Lane seen = 0;
+        eq.scheduleMessage(1, 4, EventQueue::kMessageOrderBit,
+                           [&] { seen = eq.lane(); });
+        eq.step();
+        EXPECT_EQ(seen, 4u);
+        EXPECT_EQ(eq.lane(), 3u);
+    }
+    EXPECT_EQ(eq.lane(), 0u);
+}
+
+// ---------------------------------------------------------------------
 // clear() and reusable events (the epoch-timer-across-crash() bug).
 // ---------------------------------------------------------------------
 
@@ -309,7 +408,14 @@ class Kernel
     virtual ~Kernel() = default;
     virtual Tick now() const = 0;
     virtual void lambda(Tick when, int id) = 0;
-    virtual void message(Tick when, std::uint64_t order, int id) = 0;
+    virtual void message(Tick when, EventQueue::Lane lane,
+                         std::uint64_t order, int id) = 0;
+    /** Run @p fn with @p lane as the current lane. */
+    virtual void inLane(EventQueue::Lane lane,
+                        const std::function<void()>& fn) = 0;
+    virtual EventQueue::Lane lane() const = 0;
+    virtual EventQueue::Lane nextLane() const = 0;
+    virtual void drop() = 0;
     virtual void event(int e, Tick when) = 0;
     virtual void deschedule(int e) = 0;
     virtual bool scheduled(int e) const = 0;
@@ -341,10 +447,20 @@ class RealKernel : public Kernel
         eq_.schedule(when, [this, id] { on_fire(id); });
     }
     void
-    message(Tick when, std::uint64_t order, int id) override
+    message(Tick when, EventQueue::Lane lane, std::uint64_t order,
+            int id) override
     {
-        eq_.scheduleMessage(when, order, [this, id] { on_fire(id); });
+        eq_.scheduleMessage(when, lane, order, [this, id] { on_fire(id); });
     }
+    void
+    inLane(EventQueue::Lane lane, const std::function<void()>& fn) override
+    {
+        const EventQueue::LaneScope scope(eq_, lane);
+        fn();
+    }
+    EventQueue::Lane lane() const override { return eq_.lane(); }
+    EventQueue::Lane nextLane() const override { return eq_.nextLane(); }
+    void drop() override { eq_.drop(); }
     void event(int e, Tick when) override { eq_.schedule(*events_[e], when); }
     void deschedule(int e) override { eq_.deschedule(*events_[e]); }
     bool scheduled(int e) const override { return events_[e]->scheduled(); }
@@ -365,8 +481,10 @@ class RealKernel : public Kernel
 
 /**
  * Reference model: one unsorted list, popped by its smallest
- * (when, order key); reusable events are cancelled lazily through a
- * generation counter, as documented for EventQueue.
+ * (when, lane, order key); reusable events are cancelled lazily through
+ * a generation counter, as documented for EventQueue. A same-tick
+ * schedule counts as a fast-path one unless its lane sorts before the
+ * last such schedule still pending.
  */
 class ModelKernel : public Kernel
 {
@@ -377,18 +495,35 @@ class ModelKernel : public Kernel
     void
     lambda(Tick when, int id) override
     {
-        add(Item{when, seq_++, id, -1, 0});
+        add(Item{when, lane_, seq_++, id, -1, 0});
     }
     void
-    message(Tick when, std::uint64_t order, int id) override
+    message(Tick when, EventQueue::Lane lane, std::uint64_t order,
+            int id) override
     {
-        items_.push_back(Item{when, order, id, -1, 0});
+        items_.push_back(Item{when, lane, order, id, -1, 0});
+    }
+    void
+    inLane(EventQueue::Lane lane, const std::function<void()>& fn) override
+    {
+        const EventQueue::Lane saved = lane_;
+        lane_ = lane;
+        fn();
+        lane_ = saved;
+    }
+    EventQueue::Lane lane() const override { return lane_; }
+    EventQueue::Lane nextLane() const override { return first()->lane; }
+    void
+    drop() override
+    {
+        release(*first());
+        remove(first());
     }
     void
     event(int e, Tick when) override
     {
         events_[e].scheduled = true;
-        add(Item{when, seq_++, 0, e, events_[e].generation});
+        add(Item{when, lane_, seq_++, 0, e, events_[e].generation});
     }
     void
     deschedule(int e) override
@@ -402,27 +537,20 @@ class ModelKernel : public Kernel
     void
     clear() override
     {
-        for (const Item& it : items_) {
-            if (it.event >= 0 &&
-                events_[it.event].generation == it.generation) {
-                events_[it.event].scheduled = false;
-                ++events_[it.event].generation;
-            }
-        }
+        for (const Item& it : items_)
+            release(it);
         items_.clear();
+        fifo_pending_ = 0;
     }
     bool empty() const override { return items_.empty(); }
     void
     step() override
     {
-        auto first = std::min_element(
-            items_.begin(), items_.end(), [](const Item& a, const Item& b) {
-                return a.when != b.when ? a.when < b.when
-                                        : a.order < b.order;
-            });
-        const Item it = *first;
-        items_.erase(first);
+        const Item it = *first();
+        remove(first());
         now_ = it.when;
+        const EventQueue::Lane saved = lane_;
+        lane_ = it.lane;
         if (it.event < 0) {
             ++executed_;
             on_fire(it.id);
@@ -431,6 +559,7 @@ class ModelKernel : public Kernel
             ++executed_;
             on_fire(-(it.event + 1));
         }
+        lane_ = saved;
     }
     std::size_t size() const override { return items_.size(); }
     std::uint64_t executed() const override { return executed_; }
@@ -440,10 +569,12 @@ class ModelKernel : public Kernel
     struct Item
     {
         Tick when;
+        EventQueue::Lane lane;
         std::uint64_t order;
         int id;
         int event; // -1 for a one-shot callback
         std::uint64_t generation;
+        bool fast = false;
     };
     struct RefEvent
     {
@@ -451,33 +582,75 @@ class ModelKernel : public Kernel
         std::uint64_t generation = 0;
     };
 
-    void
-    add(const Item& it)
+    std::vector<Item>::const_iterator
+    first() const
     {
-        if (it.when == now_)
+        return std::min_element(
+            items_.begin(), items_.end(), [](const Item& a, const Item& b) {
+                if (a.when != b.when)
+                    return a.when < b.when;
+                return a.lane != b.lane ? a.lane < b.lane
+                                        : a.order < b.order;
+            });
+    }
+
+    /** Leave a dropped item's live reusable event descheduled. */
+    void
+    release(const Item& it)
+    {
+        if (it.event >= 0 &&
+            events_[it.event].generation == it.generation) {
+            events_[it.event].scheduled = false;
+            ++events_[it.event].generation;
+        }
+    }
+
+    void
+    remove(std::vector<Item>::const_iterator it)
+    {
+        if (it->fast)
+            --fifo_pending_;
+        items_.erase(it);
+    }
+
+    void
+    add(Item it)
+    {
+        it.fast = it.when == now_ &&
+                  (fifo_pending_ == 0 || it.lane >= fifo_lane_);
+        if (it.fast) {
             ++fast_path_;
+            ++fifo_pending_;
+            fifo_lane_ = it.lane;
+        }
         items_.push_back(it);
     }
 
     std::vector<Item> items_;
     std::vector<RefEvent> events_;
+    /** Pending fast-path items, and the lane of the last one added. */
+    std::size_t fifo_pending_ = 0;
+    EventQueue::Lane fifo_lane_ = 0;
+    EventQueue::Lane lane_ = 0;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t fast_path_ = 0;
 };
 
-/** One firing as the test observes it. */
+/** One firing (or drop) as the test observes it. */
 struct Firing
 {
     int id;
     Tick at;
     std::size_t pending;
+    EventQueue::Lane lane;
 
     bool
     operator==(const Firing& o) const
     {
-        return id == o.id && at == o.at && pending == o.pending;
+        return id == o.id && at == o.at && pending == o.pending &&
+               lane == o.lane;
     }
 };
 
@@ -511,7 +684,8 @@ runScript(Kernel& k, std::uint64_t seed, int events)
             const std::uint64_t order = EventQueue::kMessageOrderBit |
                                         (rng.below(4) << 32) |
                                         next_msg++;
-            k.message(k.now() + delta(), order, next_id++);
+            const auto lane = static_cast<EventQueue::Lane>(rng.below(4));
+            k.message(k.now() + delta(), lane, order, next_id++);
         } else if (dice < 90) {
             const int e = static_cast<int>(rng.below(events));
             if (k.scheduled(e)) {
@@ -527,7 +701,7 @@ runScript(Kernel& k, std::uint64_t seed, int events)
     };
 
     k.on_fire = [&](int id) {
-        log.push_back(Firing{id, k.now(), k.size()});
+        log.push_back(Firing{id, k.now(), k.size(), k.lane()});
         const std::uint64_t n = rng.below(4);
         for (std::uint64_t i = 0; i < n; ++i)
             act();
@@ -538,12 +712,20 @@ runScript(Kernel& k, std::uint64_t seed, int events)
                 act(); // (re)seed a drained or cleared queue
             continue;
         }
-        k.step();
-        if (rng.chance(0.01))
-            act(); // between steps, clear() included
+        if (rng.chance(0.02)) {
+            log.push_back(Firing{-2000, k.now(), k.size(), k.nextLane()});
+            k.drop();
+        } else {
+            k.step();
+        }
+        if (rng.chance(0.01)) {
+            // Between steps, clear() included, on any lane.
+            const auto lane = static_cast<EventQueue::Lane>(rng.below(4));
+            k.inLane(lane, act);
+        }
     }
-    log.push_back(Firing{-1000, k.now(), k.size()});
-    log.push_back(Firing{-1001, k.executed(), k.fastPath()});
+    log.push_back(Firing{-1000, k.now(), k.size(), k.lane()});
+    log.push_back(Firing{-1001, k.executed(), k.fastPath(), 0});
     return log;
 }
 
@@ -588,7 +770,7 @@ TEST(EventQueueTest, CapturesReleasedOnceAfterRunClearOrDestruction)
         eq.schedule(10, [&eq, token] {
             eq.scheduleIn(0, [token] {}); // same-tick FIFO
         });
-        eq.scheduleMessage(20, EventQueue::kMessageOrderBit | 1,
+        eq.scheduleMessage(20, 0, EventQueue::kMessageOrderBit | 1,
                            [token] {});
         eq.schedule(30, Big{token, {}});
         EXPECT_EQ(token.use_count(), 5);
@@ -603,7 +785,7 @@ TEST(EventQueueTest, CapturesReleasedOnceAfterRunClearOrDestruction)
         EventQueue eq;
         eq.schedule(10, [token] {});
         eq.schedule(20, Big{token, {}});
-        eq.scheduleMessage(20, EventQueue::kMessageOrderBit | 1,
+        eq.scheduleMessage(20, 0, EventQueue::kMessageOrderBit | 1,
                            [token] {});
         EXPECT_EQ(token.use_count(), 4);
         eq.clear();

@@ -274,11 +274,11 @@ main(int argc, char** argv)
 
         const SystemConfig cfg = makeConfig(opt);
         auto sys = std::make_unique<System>(cfg, *wl);
-        std::printf("system=%s workload=%s phys=%zuMB epoch=%llums "
+        std::printf("system=%s workload=%s phys=%zuMB epoch=%lluus "
                     "channels=%u\n",
                     systemKindName(cfg.kind), opt.workload.c_str(),
                     opt.phys_mb,
-                    static_cast<unsigned long long>(opt.epoch_us / 1000),
+                    static_cast<unsigned long long>(opt.epoch_us),
                     sys->channels());
         sys->start();
 
