@@ -185,14 +185,6 @@ makeSystemConfig(const FuzzerConfig& fc, SystemKind kind, bool fast_path,
 // One crash case.
 // ---------------------------------------------------------------------
 
-namespace {
-
-/**
- * Read the full physical image through the system's functional view.
- * Only touched pages are pulled (untouched pages read zero by the
- * touched-set contract, and the buffer starts zeroed), so capture cost
- * scales with the workload footprint, not the machine size.
- */
 std::vector<std::uint8_t>
 captureImage(System& sys, std::size_t phys_size)
 {
@@ -205,6 +197,8 @@ captureImage(System& sys, std::size_t phys_size)
     }
     return img;
 }
+
+namespace {
 
 /** First differing offset of two equal-sized images, or npos. */
 std::size_t

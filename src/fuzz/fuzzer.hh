@@ -187,6 +187,14 @@ MicroWorkload::Params microParams(const FuzzerConfig& fc,
 SystemConfig makeSystemConfig(const FuzzerConfig& fc, SystemKind kind,
                               bool fast_path, unsigned channels = 0);
 
+/**
+ * Read the full physical image through the system's functional view.
+ * Only touched pages are pulled (untouched pages read zero by the
+ * touched-set contract, and the buffer starts zeroed), so capture cost
+ * scales with the workload footprint, not the machine size.
+ */
+std::vector<std::uint8_t> captureImage(System& sys, std::size_t phys_size);
+
 enum class CaseStatus
 {
     Ok,         //!< crash reached, recovery passed all oracle checks

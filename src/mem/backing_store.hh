@@ -12,8 +12,7 @@
  * first write, implicit zero page elsewhere), so a GB-scale machine only
  * pays host memory for pages it actually dirties, clone() is O(touched),
  * and recovery/oracle passes can enumerate the touched set instead of
- * scanning the whole capacity. THYNVM_DENSE_STORE swaps in the flat
- * fallback (see paged_bytes.hh).
+ * scanning the whole capacity.
  */
 
 #ifndef THYNVM_MEM_BACKING_STORE_HH
@@ -103,27 +102,19 @@ class BackingStore
     }
 
     /**
-     * Copy of the current contents (views copy only their range, into
-     * a fresh root store). Crash tests use clones to recover the same
-     * surviving image several times independently (recovery may
+     * Copy of the current contents of a root store (the handle
+     * System::crash() hands out). Crash tests use clones to recover the
+     * same surviving image several times independently (recovery may
      * legitimately write to the store, e.g. a journal replay, so
-     * sharing one store would couple the attempts). A root clone is a
-     * COW share — O(pages-table), paying only for pages that later
-     * diverge; a view clone copies the view's touched pages.
+     * sharing one store would couple the attempts). The clone is a COW
+     * share — O(pages-table), paying only for pages that later diverge.
      */
     std::shared_ptr<BackingStore>
     clone() const
     {
+        panic_if(root_ != nullptr, "clone() of a backing-store view");
         auto copy = std::make_shared<BackingStore>(size_);
-        if (root_ == nullptr && offset_ == 0) {
-            copy->bytes_ = bytes_; // COW share
-            return copy;
-        }
-        target().forEachTouchedRange(
-            offset_, offset_ + size_,
-            [&](Addr a, const std::uint8_t* data, std::size_t len) {
-                copy->bytes_.write(a - offset_, data, len);
-            });
+        copy->bytes_ = bytes_; // COW share
         return copy;
     }
 

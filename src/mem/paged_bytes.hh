@@ -21,20 +21,15 @@
  *  - Concurrent readers of ranges not being written are safe.
  *  - Copying (COW share), clear() and touched-set enumeration require
  *    quiescence; they happen at crash, recovery, and test time only.
- *
- * The THYNVM_DENSE_STORE escape hatch (read at construction) swaps in a
- * flat vector that reports every page as touched — byte-identical
- * behavior at dense cost, for differential testing of the paged path.
  */
 
 #ifndef THYNVM_MEM_PAGED_BYTES_HH
 #define THYNVM_MEM_PAGED_BYTES_HH
 
+#include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -47,38 +42,20 @@ constexpr std::size_t kHostPageSize = 4096;
 class PagedBytes
 {
   public:
-    /** True when THYNVM_DENSE_STORE requests the flat fallback. */
-    static bool
-    denseRequested()
-    {
-        const char* env = std::getenv("THYNVM_DENSE_STORE");
-        return env != nullptr && env[0] != '\0' && env[0] != '0';
-    }
-
     PagedBytes() : PagedBytes(0) {}
 
     explicit PagedBytes(std::size_t size)
-        : size_(size), dense_(denseRequested())
-    {
-        if (dense_) {
-            flat_.assign(size_, 0);
-        } else {
-            table_ = std::make_unique<Slot[]>(numPages());
-        }
-    }
+        : size_(size), table_(std::make_unique<Slot[]>(numPages()))
+    {}
 
     /** COW copy: shares every allocated page (requires quiescence). */
-    PagedBytes(const PagedBytes& other)
-        : size_(other.size_), dense_(other.dense_), flat_(other.flat_)
+    PagedBytes(const PagedBytes& other) : PagedBytes(other.size_)
     {
-        if (!dense_) {
-            table_ = std::make_unique<Slot[]>(numPages());
-            for (std::size_t i = 0; i < numPages(); ++i) {
-                Page* p = other.table_[i].load(std::memory_order_acquire);
-                if (p != nullptr)
-                    p->refs.fetch_add(1, std::memory_order_relaxed);
-                table_[i].store(p, std::memory_order_relaxed);
-            }
+        for (std::size_t i = 0; i < numPages(); ++i) {
+            Page* p = other.table_[i].load(std::memory_order_acquire);
+            if (p != nullptr)
+                p->refs.fetch_add(1, std::memory_order_relaxed);
+            table_[i].store(p, std::memory_order_relaxed);
         }
     }
 
@@ -107,16 +84,11 @@ class PagedBytes
     ~PagedBytes() { releaseAll(); }
 
     std::size_t size() const { return size_; }
-    bool dense() const { return dense_; }
 
     void
     read(Addr addr, void* buf, std::size_t len) const
     {
         checkRange(addr, len);
-        if (dense_) {
-            std::memcpy(buf, flat_.data() + addr, len);
-            return;
-        }
         std::uint8_t* out = static_cast<std::uint8_t*>(buf);
         while (len > 0) {
             const std::size_t pi = addr / kHostPageSize;
@@ -137,10 +109,6 @@ class PagedBytes
     write(Addr addr, const void* buf, std::size_t len)
     {
         checkRange(addr, len);
-        if (dense_) {
-            std::memcpy(flat_.data() + addr, buf, len);
-            return;
-        }
         const std::uint8_t* in = static_cast<const std::uint8_t*>(buf);
         while (len > 0) {
             const std::size_t pi = addr / kHostPageSize;
@@ -157,10 +125,6 @@ class PagedBytes
     fill(Addr addr, std::uint8_t value, std::size_t len)
     {
         checkRange(addr, len);
-        if (dense_) {
-            std::memset(flat_.data() + addr, value, len);
-            return;
-        }
         while (len > 0) {
             const std::size_t pi = addr / kHostPageSize;
             const std::size_t off = addr % kHostPageSize;
@@ -193,10 +157,6 @@ class PagedBytes
     clearRange(Addr addr, std::size_t len)
     {
         checkRange(addr, len);
-        if (dense_) {
-            std::memset(flat_.data() + addr, 0, len);
-            return;
-        }
         while (len > 0) {
             const std::size_t pi = addr / kHostPageSize;
             const std::size_t off = addr % kHostPageSize;
@@ -217,8 +177,6 @@ class PagedBytes
     std::size_t
     touchedPageCount() const
     {
-        if (dense_)
-            return numPages();
         std::size_t n = 0;
         for (std::size_t i = 0; i < numPages(); ++i) {
             if (table_[i].load(std::memory_order_acquire) != nullptr)
@@ -232,8 +190,6 @@ class PagedBytes
     touched(Addr addr) const
     {
         checkRange(addr, 1);
-        if (dense_)
-            return true;
         return table_[addr / kHostPageSize].load(
                    std::memory_order_acquire) != nullptr;
     }
@@ -241,8 +197,7 @@ class PagedBytes
     /**
      * Enumerate touched bytes overlapping [@p lo, @p hi) in ascending
      * address order as fn(addr, data, len). Every byte *not* reported
-     * reads as zero. The dense fallback reports the whole clipped
-     * range. Requires quiescence (no concurrent writers).
+     * reads as zero. Requires quiescence (no concurrent writers).
      */
     template <typename Fn>
     void
@@ -251,10 +206,6 @@ class PagedBytes
         hi = std::min<Addr>(hi, size_);
         if (lo >= hi)
             return;
-        if (dense_) {
-            fn(lo, flat_.data() + lo, static_cast<std::size_t>(hi - lo));
-            return;
-        }
         for (std::size_t pi = lo / kHostPageSize;
              pi * kHostPageSize < hi; ++pi) {
             const Page* p = table_[pi].load(std::memory_order_acquire);
@@ -346,7 +297,6 @@ class PagedBytes
                 unref(table_[i].load(std::memory_order_acquire));
             table_.reset();
         }
-        flat_.clear();
         size_ = 0;
     }
 
@@ -354,11 +304,8 @@ class PagedBytes
     moveFrom(PagedBytes& other)
     {
         size_ = other.size_;
-        dense_ = other.dense_;
-        flat_ = std::move(other.flat_);
         table_ = std::move(other.table_);
         other.size_ = 0;
-        other.flat_.clear();
     }
 
     void
@@ -371,9 +318,7 @@ class PagedBytes
     }
 
     std::size_t size_ = 0;
-    bool dense_ = false;
-    std::vector<std::uint8_t> flat_;   //!< dense fallback storage
-    std::unique_ptr<Slot[]> table_;    //!< page table (paged mode)
+    std::unique_ptr<Slot[]> table_; //!< one slot per host page
 };
 
 } // namespace thynvm

@@ -122,38 +122,5 @@ TEST(CrashFuzz, InjectedBttDropIsCaughtWithRepro)
     }
 }
 
-/**
- * The sparse COW store is purely functional: the full default campaign
- * under THYNVM_DENSE_STORE=1 must plan the identical cases, reach the
- * identical sites, emit the identical repro strings, and find the
- * identical (zero) violations as the paged run.
- */
-TEST(CrashFuzz, CampaignByteIdenticalUnderDenseStore)
-{
-    FuzzerConfig fc;
-    CampaignOptions opts;
-    opts.seeds = {1};
-
-    CampaignResult paged, dense;
-    std::ostringstream paged_log, dense_log;
-    {
-        test::EnvGuard off("THYNVM_DENSE_STORE", nullptr);
-        paged = runCampaign(fc, opts, &paged_log);
-    }
-    {
-        test::EnvGuard on("THYNVM_DENSE_STORE", "1");
-        dense = runCampaign(fc, opts, &dense_log);
-    }
-
-    EXPECT_GT(paged.cases, 0u);
-    EXPECT_EQ(paged.cases, dense.cases);
-    EXPECT_EQ(paged.not_reached, dense.not_reached);
-    EXPECT_EQ(paged.repros, dense.repros)
-        << "campaign plan diverged between store implementations";
-    EXPECT_EQ(paged.sites_by_system, dense.sites_by_system);
-    EXPECT_TRUE(paged.violations.empty()) << paged_log.str();
-    EXPECT_TRUE(dense.violations.empty()) << dense_log.str();
-}
-
 } // namespace
 } // namespace thynvm

@@ -358,20 +358,6 @@ TEST(ShadowCrashTest, RecoversToCommittedEpochImage)
 // Backend-parameterized recovery-idempotence / double-crash sweep.
 // ---------------------------------------------------------------------
 
-/** Full-image capture through the system's functional view. */
-std::vector<std::uint8_t>
-captureSystemImage(System& sys, std::size_t phys_size)
-{
-    std::vector<std::uint8_t> img(phys_size, 0);
-    FunctionalView view = sys.functionalView();
-    for (Addr page : sys.touchedPhysPages()) {
-        const std::size_t len =
-            std::min<std::size_t>(kPageSize, phys_size - page);
-        view(page, img.data() + page, len);
-    }
-    return img;
-}
-
 /**
  * The properties every SystemKind must satisfy under repeated power
  * failures, swept over each crash site the backend announces:
@@ -485,8 +471,7 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
         }
         System sys(cfg, wl1);
         sys.start();
-        const std::vector<std::uint8_t> base =
-            captureSystemImage(sys, fc.phys_size);
+        const std::vector<std::uint8_t> base = captureImage(sys, fc.phys_size);
         EventQueue& eq = sys.eventq();
         if (!site.empty() && channels > 1) {
             sys.runTo(profileCrashTick(fc, kind, channels, seed, plan));
@@ -520,7 +505,7 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
         const std::uint64_t restored2 =
             wl2.wasRestored() ? wl2.restoredCount() : 0;
         const std::vector<std::uint8_t> img_a =
-            captureSystemImage(sys2, fc.phys_size);
+            captureImage(sys2, fc.phys_size);
         std::shared_ptr<BackingStore> nvm2 = sys2.crash();
 
         // Life 3: recover from the re-crashed image.
@@ -532,7 +517,7 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
         const std::uint64_t restored3 =
             wl3.wasRestored() ? wl3.restoredCount() : 0;
         const std::vector<std::uint8_t> img_b =
-            captureSystemImage(sys3, fc.phys_size);
+            captureImage(sys3, fc.phys_size);
 
         EXPECT_EQ(restored2, restored3)
             << "second recovery restored a different epoch boundary";
@@ -563,7 +548,7 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
             << "resumed execution stalled after the double crash";
         std::vector<std::uint8_t> want = img_b;
         applyStores(want, wl3.stores(), ~0ull);
-        EXPECT_EQ(captureSystemImage(sys3, fc.phys_size), want);
+        EXPECT_EQ(captureImage(sys3, fc.phys_size), want);
     }
 }
 

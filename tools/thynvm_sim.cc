@@ -199,20 +199,6 @@ printMetrics(const RunMetrics& m)
     std::printf("time on ckpt    : %.3f %%\n", m.ckpt_time_frac * 100.0);
 }
 
-void
-dumpStats(System& sys)
-{
-    std::printf("\n--- component statistics ---\n");
-    std::ostringstream os;
-    sys.controller().stats().dump(os);
-    sys.cpu().stats().dump(os);
-    if (auto* nvm = sys.controller().nvmDevice())
-        nvm->stats().dump(os);
-    if (auto* dram = sys.controller().dramDevice())
-        dram->stats().dump(os);
-    std::fputs(os.str().c_str(), stdout);
-}
-
 } // namespace
 
 int
@@ -314,8 +300,12 @@ main(int argc, char** argv)
                         opt.record_trace.c_str(),
                         recorder->records().size());
         }
-        if (opt.dump_stats)
-            dumpStats(*sys);
+        if (opt.dump_stats) {
+            std::printf("\n--- component statistics ---\n");
+            std::ostringstream os;
+            sys->dumpStats(os);
+            std::fputs(os.str().c_str(), stdout);
+        }
     } catch (const FatalError&) {
         // fatal() has already reported the error on stderr.
         return 1;
