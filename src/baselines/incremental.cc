@@ -285,7 +285,6 @@ IncrementalController::crash()
     nvm_port_.crash();
     dram_dev_.crash();
     nvm_dev_.crash();
-    dram_dev_.store().clear();
     table_.clear();
     next_slot_ = 0;
     cur_changed_.clear();

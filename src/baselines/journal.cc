@@ -277,7 +277,6 @@ JournalController::crash()
     nvm_port_.crash();
     dram_dev_.crash();
     nvm_dev_.crash();
-    dram_dev_.store().clear();
     table_.clear();
     next_slot_ = 0;
     resetEpochState();

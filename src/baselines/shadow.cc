@@ -324,7 +324,6 @@ ShadowController::crash()
     nvm_port_.crash();
     dram_dev_.crash();
     nvm_dev_.crash();
-    dram_dev_.store().clear();
     resident_.clear();
     free_slots_.clear();
     for (std::size_t i = numSlots(); i-- > 0;)

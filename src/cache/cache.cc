@@ -5,6 +5,8 @@
 
 #include "cache/cache.hh"
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "common/logging.hh"
@@ -19,7 +21,29 @@ Cache::Cache(EventQueue& eq, std::string name, const Params& params,
              "cache size must be a multiple of assoc * block size");
     num_sets_ = params_.size / (params_.assoc * kBlockSize);
     fatal_if(!isPowerOfTwo(num_sets_), "cache must have 2^n sets");
-    lines_.resize(num_sets_ * params_.assoc);
+    // Layout from a host cache line boundary: tags, data, LRU stamps,
+    // dirty flags. A set's tags then start a host line, and so does
+    // each line's data whenever the line count is a multiple of 8 (as
+    // in every configured hierarchy). Data is left unwritten: a line's
+    // data is read only after a fill has written it, so its pages are
+    // first touched by the fill, not here.
+    constexpr std::size_t kHostLine = 64;
+    const std::size_t n = num_lines_ = num_sets_ * params_.assoc;
+    const std::size_t tag_bytes = n * sizeof(Addr);
+    const std::size_t bytes =
+        tag_bytes + n * (kBlockSize + sizeof(std::uint64_t) + 1);
+    storage_ =
+        std::make_unique_for_overwrite<std::byte[]>(bytes + kHostLine - 1);
+    std::byte* base = storage_.get();
+    base += (kHostLine - reinterpret_cast<std::uintptr_t>(base) % kHostLine) %
+            kHostLine;
+    tags_ = reinterpret_cast<Addr*>(base);
+    data_ = reinterpret_cast<std::uint8_t*>(base + tag_bytes);
+    lru_ = reinterpret_cast<std::uint64_t*>(data_ + n * kBlockSize);
+    dirty_ = reinterpret_cast<std::uint8_t*>(lru_ + n);
+    std::fill_n(tags_, n, kInvalidAddr);
+    std::fill_n(lru_, n, 0);
+    std::fill_n(dirty_, n, 0);
 
     stats().addScalar("hits", &hits_, "block accesses that hit");
     stats().addScalar("misses", &misses_, "block accesses that missed");
@@ -37,51 +61,59 @@ Cache::Cache(EventQueue& eq, std::string name, const Params& params,
 }
 
 std::size_t
-Cache::setIndex(Addr paddr) const
+Cache::setBase(Addr paddr) const
 {
-    return static_cast<std::size_t>(blockIndex(paddr)) & (num_sets_ - 1);
+    return (static_cast<std::size_t>(blockIndex(paddr)) & (num_sets_ - 1)) *
+           params_.assoc;
 }
 
-Cache::Line*
-Cache::lookup(Addr paddr)
+std::size_t
+Cache::lookup(Addr paddr) const
 {
-    const std::size_t base = setIndex(paddr) * params_.assoc;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line& line = lines_[base + w];
-        if (line.valid && line.tag == paddr)
-            return &line;
+    // Block addresses are aligned, so none equals kInvalidAddr: an
+    // invalid line never matches.
+    const std::size_t base = setBase(paddr);
+    for (std::size_t i = base; i < base + params_.assoc; ++i) {
+        if (tags_[i] == paddr)
+            return i;
     }
-    return nullptr;
+    return kNoLine;
 }
 
-Cache::Line&
-Cache::victimFor(Addr paddr)
+std::size_t
+Cache::victimFor(Addr paddr) const
 {
-    const std::size_t base = setIndex(paddr) * params_.assoc;
-    Line* victim = &lines_[base];
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line& line = lines_[base + w];
-        if (!line.valid)
-            return line;
-        if (line.lru < victim->lru)
-            victim = &line;
+    const std::size_t base = setBase(paddr);
+    std::size_t victim = base;
+    for (std::size_t i = base; i < base + params_.assoc; ++i) {
+        if (tags_[i] == kInvalidAddr)
+            return i;
+        if (lru_[i] < lru_[victim])
+            victim = i;
     }
-    return *victim;
+    return victim;
 }
 
 void
-Cache::applyAccess(Line& line, bool is_write, const std::uint8_t* wdata,
+Cache::fill(std::size_t i, Addr paddr)
+{
+    tags_[i] = paddr;
+    dirty_[i] = 0;
+    lru_[i] = ++lru_clock_;
+}
+
+void
+Cache::applyAccess(std::size_t i, bool is_write, const std::uint8_t* wdata,
                    std::uint8_t* rdata)
 {
-    line.lru = ++lru_clock_;
     if (is_write) {
-        std::memcpy(line.data.data(), wdata, kBlockSize);
-        if (!line.dirty) {
-            line.dirty = true;
+        std::memcpy(lineData(i), wdata, kBlockSize);
+        if (!dirty_[i]) {
+            dirty_[i] = 1;
             ++dirty_lines_;
         }
     } else {
-        std::memcpy(rdata, line.data.data(), kBlockSize);
+        std::memcpy(rdata, lineData(i), kBlockSize);
     }
 }
 
@@ -92,10 +124,10 @@ Cache::accessBlock(Addr paddr, bool is_write, const std::uint8_t* wdata,
 {
     panic_if(paddr % kBlockSize != 0, "unaligned cache access");
 
-    Line* line = lookup(paddr);
-    if (line != nullptr) {
+    if (const std::size_t i = lookup(paddr); i != kNoLine) {
         ++hits_;
-        applyAccess(*line, is_write, wdata, rdata);
+        lru_[i] = ++lru_clock_;
+        applyAccess(i, is_write, wdata, rdata);
         if (done)
             eventq_.scheduleIn(params_.hit_latency, std::move(done));
         return;
@@ -105,20 +137,17 @@ Cache::accessBlock(Addr paddr, bool is_write, const std::uint8_t* wdata,
 
     // Evict the victim, writing dirty data down synchronously (timing of
     // the writeback proceeds independently of the demand access).
-    Line& victim = victimFor(paddr);
-    if (victim.valid && victim.dirty) {
+    const std::size_t victim = victimFor(paddr);
+    if (dirty_[victim]) {
         ++writebacks_;
         --dirty_lines_;
-        next_.accessBlock(victim.tag, true, victim.data.data(), nullptr,
+        next_.accessBlock(tags_[victim], true, lineData(victim), nullptr,
                           TrafficSource::CpuWriteback, nullptr);
     }
 
     // Fill from the next level (write-allocate). Data arrives
     // functionally at call time; install it, then apply this access.
-    victim.valid = true;
-    victim.tag = paddr;
-    victim.dirty = false;
-    victim.lru = ++lru_clock_;
+    fill(victim, paddr);
 
     // Apply the access functionally after the fill lands in the line.
     // The fill's rdata target is the line itself.
@@ -126,16 +155,9 @@ Cache::accessBlock(Addr paddr, bool is_write, const std::uint8_t* wdata,
         if (done)
             eventq_.scheduleIn(params_.hit_latency, std::move(done));
     };
-    next_.accessBlock(paddr, false, nullptr, victim.data.data(),
-                      source, std::move(chain));
-
-    if (is_write) {
-        std::memcpy(victim.data.data(), wdata, kBlockSize);
-        victim.dirty = true;
-        ++dirty_lines_;
-    } else {
-        std::memcpy(rdata, victim.data.data(), kBlockSize);
-    }
+    next_.accessBlock(paddr, false, nullptr, lineData(victim), source,
+                      std::move(chain));
+    applyAccess(victim, is_write, wdata, rdata);
 }
 
 Tick
@@ -144,10 +166,10 @@ Cache::tryAccessFast(Addr paddr, bool is_write, const std::uint8_t* wdata,
 {
     panic_if(paddr % kBlockSize != 0, "unaligned cache access");
 
-    Line* line = lookup(paddr);
-    if (line != nullptr) {
+    if (const std::size_t i = lookup(paddr); i != kNoLine) {
         ++hits_;
-        applyAccess(*line, is_write, wdata, rdata);
+        lru_[i] = ++lru_clock_;
+        applyAccess(i, is_write, wdata, rdata);
         return params_.hit_latency;
     }
 
@@ -157,26 +179,17 @@ Cache::tryAccessFast(Addr paddr, bool is_write, const std::uint8_t* wdata,
     // victim line itself, which a refusing level leaves untouched — so
     // bailing out here is free of side effects and the caller can replay
     // the access on the event path.
-    Line& victim = victimFor(paddr);
-    if (victim.valid && victim.dirty)
+    const std::size_t victim = victimFor(paddr);
+    if (dirty_[victim])
         return kNoFastPath;
     const Tick fill_latency = next_.tryAccessFast(
-        paddr, false, nullptr, victim.data.data(), source);
+        paddr, false, nullptr, lineData(victim), source);
     if (fill_latency == kNoFastPath)
         return kNoFastPath;
 
     ++misses_;
-    victim.valid = true;
-    victim.tag = paddr;
-    victim.dirty = false;
-    victim.lru = ++lru_clock_;
-    if (is_write) {
-        std::memcpy(victim.data.data(), wdata, kBlockSize);
-        victim.dirty = true;
-        ++dirty_lines_;
-    } else {
-        std::memcpy(rdata, victim.data.data(), kBlockSize);
-    }
+    fill(victim, paddr);
+    applyAccess(victim, is_write, wdata, rdata);
     // Same charge as the event path: the fill completes below, then this
     // level's own access time elapses before the requester continues.
     return fill_latency + params_.hit_latency;
@@ -202,14 +215,14 @@ Cache::flushDirty(std::function<void()> done)
     flush_done_ = std::move(done);
     flush_all_issued_ = false;
 
-    for (auto& line : lines_) {
-        if (!line.valid || !line.dirty)
+    for (std::size_t i = 0; i < num_lines_; ++i) {
+        if (!dirty_[i])
             continue;
-        line.dirty = false;
+        dirty_[i] = 0;
         --dirty_lines_;
         ++flush_writebacks_;
         ++flush_outstanding_;
-        next_.accessBlock(line.tag, true, line.data.data(), nullptr,
+        next_.accessBlock(tags_[i], true, lineData(i), nullptr,
                           TrafficSource::CpuWriteback,
                           [this] { flushAck(); });
         if (dirty_lines_ == 0)
@@ -239,10 +252,8 @@ Cache::flushAck()
 void
 Cache::invalidateAll()
 {
-    for (auto& line : lines_) {
-        line.valid = false;
-        line.dirty = false;
-    }
+    std::fill_n(tags_, num_lines_, kInvalidAddr);
+    std::fill_n(dirty_, num_lines_, 0);
     dirty_lines_ = 0;
     // Power loss also abandons any in-flight flush: the acknowledgment
     // events died with the queue, so the fan-in state must not survive

@@ -1346,13 +1346,13 @@ void
 ThyNvmController::crash()
 {
     // All volatile state is lost: DRAM contents, staged requests,
-    // translation tables, checkpoint-engine state. The devices roll
-    // back NVM writes that were not yet serviced.
+    // translation tables, checkpoint-engine state. The volatile DRAM
+    // device zeroes its contents; the NVM device rolls back writes that
+    // were not yet serviced.
     dram_port_.crash();
     nvm_port_.crash();
     dram_dev_.crash();
     nvm_dev_.crash();
-    dram_dev_.store().clear();
 
     btt_.clear();
     ptt_.clear();

@@ -8,12 +8,16 @@
  * queue, else the oldest ready request; per bank that is exactly "the
  * bank's oldest waiting row hit" and "the bank's FIFO head", so picking
  * the minimum sequence number among at most `banks` such candidates
- * reproduces the original choice tick for tick.
+ * reproduces the original choice tick for tick. Which banks are visited,
+ * and in what order, cannot change the pick: sequence numbers are
+ * unique, so the minimum is the same over any superset of the banks
+ * that hold a candidate.
  */
 
 #include "mem/device.hh"
 
 #include <algorithm>
+#include <bit>
 
 namespace thynvm {
 
@@ -38,6 +42,7 @@ DeviceParams::dram(std::size_t capacity)
     p.row_hit_latency = 40 * kNanosecond;
     p.row_miss_clean_latency = 80 * kNanosecond;
     p.row_miss_dirty_latency = 80 * kNanosecond;
+    p.persistent = false;
     return p;
 }
 
@@ -63,7 +68,8 @@ MemDevice::MemDevice(EventQueue& eq, std::string name,
       schedule_event_([this] { trySchedule(); }),
       wakeup_event_([this] { trySchedule(); })
 {
-    fatal_if(params_.banks == 0, "device must have at least one bank");
+    fatal_if(params_.banks == 0 || params_.banks > 64,
+             "device must have 1 to 64 banks");
     fatal_if(params_.row_size == 0 || params_.row_size % kBlockSize != 0,
              "row size must be a nonzero multiple of the block size");
     fatal_if(store_->size() < params_.capacity,
@@ -98,18 +104,6 @@ MemDevice::MemDevice(EventQueue& eq, std::string name,
                       "times the device entered write-drain mode");
     stats().addHistogram("read_latency_ns", &read_latency_,
                          "read service latency");
-}
-
-unsigned
-MemDevice::bankOf(Addr addr) const
-{
-    return static_cast<unsigned>(rowOf(addr) % params_.banks);
-}
-
-std::uint64_t
-MemDevice::rowOf(Addr addr) const
-{
-    return addr / params_.row_size;
 }
 
 bool
@@ -194,6 +188,23 @@ MemDevice::compactUndoLog()
     staged_head_ = undo_base_ + write_count_;
 }
 
+void
+MemDevice::retireUndoEntry(std::uint64_t index)
+{
+    // The write is durable; its pre-image must not be replayed.
+    undoAt(index).slot = kNullSlot;
+    // Dead entries mostly leave from the front. Compacting once the
+    // rest reach live + 2 x queue capacity keeps the log under
+    // 2 x (live + queue capacity); each pass at least halves it.
+    while (!undo_log_.empty() && undo_log_.front().slot == kNullSlot) {
+        undo_log_.pop_front();
+        ++undo_base_;
+    }
+    const std::size_t live = liveUndoEntries();
+    if (undo_log_.size() - live >= live + 2u * params_.write_queue_capacity)
+        compactUndoLog();
+}
+
 std::uint32_t
 MemDevice::enqueue(Addr addr, TrafficSource source, bool is_write,
                    std::function<void()> on_complete)
@@ -201,7 +212,8 @@ MemDevice::enqueue(Addr addr, TrafficSource source, bool is_write,
     const std::uint32_t idx = allocSlot();
     Slot& sl = slots_[idx];
     sl.addr = addr;
-    sl.row = rowOf(addr);
+    sl.row = addr / params_.row_size;
+    sl.bank = static_cast<std::uint32_t>(sl.row % params_.banks);
     sl.enqueue_tick = curTick();
     sl.seq = next_seq_++;
     sl.on_complete = std::move(on_complete);
@@ -209,12 +221,15 @@ MemDevice::enqueue(Addr addr, TrafficSource source, bool is_write,
     sl.is_write = is_write;
     sl.in_service = false;
 
-    Bank& bank = banks_[bankOf(addr)];
-    BankQueue& bq = bank.q[is_write ? 1 : 0];
+    Bank& bank = banks_[sl.bank];
+    const int dir = is_write ? 1 : 0;
+    BankQueue& bq = bank.q[dir];
     linkTail(bq, idx);
+    waiting_[dir] |= std::uint64_t{1} << sl.bank;
     if (bank.row_valid && bank.open_row == sl.row && bq.hit == kNullSlot)
         bq.hit = idx;
     ++(is_write ? write_count_ : read_count_);
+    sched_dirty_ = true;
 
     if (!schedule_event_.scheduled()) {
         // Defer scheduling to a zero-delay event so a burst of enqueues
@@ -246,11 +261,14 @@ MemDevice::stageWrite(Addr addr, const std::uint8_t* data)
              "device request beyond capacity: addr=%llu cap=%zu",
              static_cast<unsigned long long>(addr), params_.capacity);
     // Save undo bytes for crash rollback, then apply functionally.
-    UndoEntry& ue = undo_log_.emplace_back();
-    ue.addr = addr;
-    ue.slot = kStagedSlot;
-    store_->read(addr, ue.old_data.data(), kBlockSize);
+    if (params_.persistent) {
+        UndoEntry& ue = undo_log_.emplace_back();
+        ue.addr = addr;
+        ue.slot = kStagedSlot;
+        store_->read(addr, ue.old_data.data(), kBlockSize);
+    }
     store_->write(addr, data, kBlockSize);
+    ++staged_;
 }
 
 bool
@@ -259,11 +277,16 @@ MemDevice::enqueueStagedWrite(Addr addr, TrafficSource source,
 {
     if (write_count_ >= params_.write_queue_capacity)
         return false;
-    panic_if(stagedWrites() == 0, "no staged write to enqueue");
-    UndoEntry& ue = undoAt(staged_head_);
-    panic_if(ue.addr != addr, "enqueued write is not the oldest staged one");
-    ue.slot = enqueue(addr, source, true, std::move(on_complete));
-    slots_[ue.slot].undo_index = staged_head_++;
+    panic_if(staged_ == 0, "no staged write to enqueue");
+    panic_if(params_.persistent && undoAt(staged_head_).addr != addr,
+             "enqueued write is not the oldest staged one");
+    --staged_;
+    const std::uint32_t idx =
+        enqueue(addr, source, true, std::move(on_complete));
+    if (params_.persistent) {
+        undoAt(staged_head_).slot = idx;
+        slots_[idx].undo_index = staged_head_++;
+    }
     return true;
 }
 
@@ -274,7 +297,7 @@ MemDevice::enqueueWrite(Addr addr, const std::uint8_t* data,
 {
     if (write_count_ >= params_.write_queue_capacity)
         return false;
-    panic_if(stagedWrites() != 0,
+    panic_if(staged_ != 0,
              "direct device write while staged writes are pending");
     stageWrite(addr, data);
     return enqueueStagedWrite(addr, source, std::move(on_complete));
@@ -308,6 +331,12 @@ MemDevice::notifyWhenWritesDrained(std::function<void()> cb)
 void
 MemDevice::crash()
 {
+    if (!params_.persistent) {
+        // Volatile media keep nothing across power loss.
+        store_->clear();
+        quiesce();
+        return;
+    }
     // Replay the undo log newest-first, skipping entries whose write was
     // serviced (durable); each applied pre-image restores the bytes
     // present when that write was enqueued.
@@ -325,6 +354,7 @@ MemDevice::quiesce()
         bank.q[0] = BankQueue{};
         bank.q[1] = BankQueue{};
     }
+    waiting_ = {};
     // Rebuild the free list over the whole slab, dropping any queued or
     // in-flight requests (and their completion closures).
     free_head_ = kNullSlot;
@@ -336,6 +366,7 @@ MemDevice::quiesce()
     in_flight_ = 0;
     undo_log_.clear();
     staged_head_ = undo_base_;
+    staged_ = 0;
     accept_armed_ = {};
     drain_cbs_.clear();
     // The caller abandons the event queue, so any pending scheduling or
@@ -343,6 +374,7 @@ MemDevice::quiesce()
     eventq_.deschedule(schedule_event_);
     eventq_.deschedule(wakeup_event_);
     draining_writes_ = false;
+    sched_dirty_ = true;
 }
 
 std::uint64_t
@@ -374,12 +406,11 @@ MemDevice::pickNext(int dir)
     const Tick now = curTick();
     std::uint32_t best_hit = kNullSlot;
     std::uint32_t best_head = kNullSlot;
-    for (Bank& bank : banks_) {
+    for (std::uint64_t m = waiting_[dir]; m != 0; m &= m - 1) {
+        const Bank& bank = banks_[std::countr_zero(m)];
         if (bank.busy_until > now)
             continue;
         const BankQueue& bq = bank.q[dir];
-        if (bq.head == kNullSlot)
-            continue;
         // FR-FCFS: the oldest row-buffer hit wins outright.
         if (bank.row_valid && bq.hit != kNullSlot &&
             (best_hit == kNullSlot ||
@@ -397,6 +428,17 @@ MemDevice::pickNext(int dir)
 void
 MemDevice::trySchedule()
 {
+    // A pass ends only when nothing more can start. Until a request
+    // arrives or completes, the same tick sees the same queues, ready
+    // banks and drain mode, so a repeat pass would start nothing (and
+    // its wakeup check would find the same busy banks; DESIGN.md
+    // "Per-bank device scheduler").
+    const Tick now = curTick();
+    if (!sched_dirty_ && last_pass_tick_ == now)
+        return;
+    sched_dirty_ = false;
+    last_pass_tick_ = now;
+
     // Reads are latency-critical and win whenever the write backlog is
     // manageable; writes are drained in bursts once the queue crosses
     // the high watermark (or opportunistically when no reads wait).
@@ -431,13 +473,15 @@ void
 MemDevice::startService(std::uint32_t idx)
 {
     Slot& sl = slots_[idx];
-    Bank& bank = banks_[bankOf(sl.addr)];
+    Bank& bank = banks_[sl.bank];
     const int dir = sl.is_write ? 1 : 0;
     BankQueue& bq = bank.q[dir];
 
     const bool row_hit = bank.row_valid && bank.open_row == sl.row;
     const std::uint32_t after = sl.next;
     unlink(bq, idx);
+    if (bq.head == kNullSlot)
+        waiting_[dir] &= ~(std::uint64_t{1} << sl.bank);
     sl.in_service = true;
 
     Tick access_latency;
@@ -485,26 +529,16 @@ MemDevice::finishService(std::uint32_t idx, std::uint64_t seq)
     panic_if(!sl.in_service || sl.seq != seq,
              "completion for unknown request");
     --in_flight_;
+    sched_dirty_ = true;
 
     const bool is_write = sl.is_write;
     if (is_write) {
         ++writes_;
         write_bytes_by_source_[static_cast<std::size_t>(sl.source)] +=
             kBlockSize;
-        // The write is durable; its pre-image must not be replayed.
-        undoAt(sl.undo_index).slot = kNullSlot;
         --write_count_;
-        // Dead entries mostly leave from the front. Compacting once the
-        // rest reach live + 2 x queue capacity keeps the log under
-        // 2 x (live + queue capacity); each pass at least halves it.
-        while (!undo_log_.empty() && undo_log_.front().slot == kNullSlot) {
-            undo_log_.pop_front();
-            ++undo_base_;
-        }
-        const std::size_t live = liveUndoEntries();
-        if (undo_log_.size() - live >=
-            live + 2u * params_.write_queue_capacity)
-            compactUndoLog();
+        if (params_.persistent)
+            retireUndoEntry(sl.undo_index);
     } else {
         ++reads_;
         read_bytes_ += kBlockSize;
@@ -549,9 +583,8 @@ MemDevice::maybeScheduleWakeup()
         return;
     const Tick now = curTick();
     Tick earliest = kMaxTick;
-    for (const Bank& bank : banks_) {
-        if (bank.q[0].head == kNullSlot && bank.q[1].head == kNullSlot)
-            continue;
+    for (std::uint64_t m = waiting_[0] | waiting_[1]; m != 0; m &= m - 1) {
+        const Bank& bank = banks_[std::countr_zero(m)];
         if (bank.busy_until > now && bank.busy_until < earliest)
             earliest = bank.busy_until;
     }

@@ -13,13 +13,18 @@
  *  - Requests live in a fixed slab of pooled slots; queues are intrusive
  *    doubly-linked FIFOs threaded through the slots, bucketed per bank
  *    and direction. Nothing is copied or shifted after enqueue.
- *  - FR-FCFS picks among at most `banks` head candidates; the oldest
- *    row-buffer hit per bank is tracked incrementally instead of being
+ *  - FR-FCFS picks among the head candidates of the banks that have
+ *    waiting requests (a bitmask per direction); the oldest row-buffer
+ *    hit per bank is tracked incrementally instead of being
  *    rediscovered by scanning the whole queue every pass.
+ *  - A scheduling pass that could start nothing new (same tick, no
+ *    enqueue or completion since the last pass) returns at once.
  *  - Completions resolve by slot index in O(1); no search, no erase.
  *  - Undo bytes for crash rollback live in a per-device append-only
  *    undo log, so neither queued requests nor a staging port's FIFO
  *    carry block-sized payloads; compaction costs amortized O(1) per write.
+ *    A volatile device (DRAM) keeps no undo log at all: its crash()
+ *    zeroes the store.
  */
 
 #ifndef THYNVM_MEM_DEVICE_HH
@@ -63,6 +68,12 @@ struct DeviceParams
     unsigned write_drain_high = 48;
     /** Stop draining when the write queue falls to this level. */
     unsigned write_drain_low = 16;
+    /**
+     * True for nonvolatile media: unserviced writes roll back on
+     * crash(). A volatile device logs no pre-images and loses its whole
+     * contents on crash().
+     */
+    bool persistent = true;
 
     /** Standard DDR3-1600 DRAM per Table 2. */
     static DeviceParams dram(std::size_t capacity);
@@ -76,10 +87,12 @@ struct DeviceParams
  * Functional semantics: write data hits the backing store when it is
  * *staged* (at enqueue, or at send time through a DevicePort) so that
  * producers can immediately read their own writes. For crash fidelity
- * every staged write appends (addr, previous bytes) to the device's undo
- * log; crash() replays the log backwards over all writes that the timing
- * model had not yet serviced, leaving exactly the bytes a real device
- * would hold after power loss.
+ * every write staged to a persistent device appends (addr, previous
+ * bytes) to the device's undo log; crash() replays the log backwards
+ * over all writes that the timing model had not yet serviced, leaving
+ * exactly the bytes a real device would hold after power loss. A
+ * volatile device holds nothing after power loss, so it logs nothing
+ * and its crash() zeroes the store.
  */
 class MemDevice : public SimObject
 {
@@ -117,10 +130,11 @@ class MemDevice : public SimObject
 
     /**
      * Stage a write of one block ahead of its enqueue: @p data is
-     * applied to the backing store now and its pre-image logged, so
-     * crash() rolls it back until the write is serviced. Staged writes
-     * must be enqueued, by enqueueStagedWrite(), in staging order, and
-     * nothing else may write the device while any is pending.
+     * applied to the backing store now and, on a persistent device, its
+     * pre-image logged, so crash() rolls it back until the write is
+     * serviced. Staged writes must be enqueued, by enqueueStagedWrite(),
+     * in staging order, and nothing else may write the device while any
+     * is pending.
      */
     void stageWrite(Addr addr, const std::uint8_t* data);
 
@@ -161,10 +175,10 @@ class MemDevice : public SimObject
     void notifyWhenWritesDrained(std::function<void()> cb);
 
     /**
-     * Power-loss semantics: roll back unserviced writes, queued or
-     * staged (in reverse staging order), drop all queued requests and
-     * callbacks. The event queue is assumed to be abandoned by the
-     * caller.
+     * Power-loss semantics: drop all queued requests and callbacks. A
+     * persistent device rolls back unserviced writes, queued or staged
+     * (in reverse staging order); a volatile one zeroes its store. The
+     * event queue is assumed to be abandoned by the caller.
      */
     void crash();
 
@@ -180,13 +194,10 @@ class MemDevice : public SimObject
     /** Undo-log entries of writes not yet serviced. */
     std::size_t liveUndoEntries() const
     {
-        return stagedWrites() + write_count_;
+        return params_.persistent ? staged_ + write_count_ : 0;
     }
     /** Staged writes not yet enqueued. */
-    std::size_t stagedWrites() const
-    {
-        return undo_base_ + undo_log_.size() - staged_head_;
-    }
+    std::size_t stagedWrites() const { return staged_; }
 
     /** Total bytes written, by traffic source. */
     std::uint64_t writeBytes(TrafficSource s) const;
@@ -218,6 +229,8 @@ class MemDevice : public SimObject
         TrafficSource source = TrafficSource::DemandRead;
         bool is_write = false;
         bool in_service = false;
+        /** row % banks, computed once at enqueue. */
+        std::uint32_t bank = 0;
     };
 
     /** Waiting requests of one direction at one bank, in seq order. */
@@ -256,15 +269,14 @@ class MemDevice : public SimObject
         std::array<std::uint8_t, kBlockSize> old_data{};
     };
 
-    unsigned bankOf(Addr addr) const;
-    std::uint64_t rowOf(Addr addr) const;
-
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t idx);
     void linkTail(BankQueue& bq, std::uint32_t idx);
     void unlink(BankQueue& bq, std::uint32_t idx);
     /** Oldest slot with @p row in the chain starting at @p from. */
     std::uint32_t scanForRow(std::uint32_t from, std::uint64_t row) const;
+    /** Mark the undo entry at @p index durable and trim the log. */
+    void retireUndoEntry(std::uint64_t index);
     /** Drop the undo log's dead entries. */
     void compactUndoLog();
     UndoEntry& undoAt(std::size_t i) { return undo_log_[i - undo_base_]; }
@@ -272,13 +284,17 @@ class MemDevice : public SimObject
     std::uint32_t enqueue(Addr addr, TrafficSource source, bool is_write,
                           std::function<void()> on_complete);
 
-    /** Try to start servicing queued requests; schedules completions. */
+    /**
+     * Try to start servicing queued requests; schedules completions.
+     * Returns at once if a pass already ran at this tick and nothing
+     * was enqueued or completed since.
+     */
     void trySchedule();
     /**
      * Next serviceable slot of direction @p dir (0 = read, 1 = write),
-     * or kNullSlot. FR-FCFS over at most `banks` candidates: the oldest
-     * row hit across ready banks wins outright, else the oldest ready
-     * request.
+     * or kNullSlot. FR-FCFS over the heads of the ready banks in
+     * waiting_[dir], visited in ascending bank order: the oldest row
+     * hit wins outright, else the oldest ready request.
      */
     std::uint32_t pickNext(int dir);
     /** Begin timed service of the request in slot @p idx. */
@@ -296,6 +312,8 @@ class MemDevice : public SimObject
     DeviceParams params_;
     std::shared_ptr<BackingStore> store_;
     std::vector<Bank> banks_;
+    /** Per direction, bit b set iff bank b has waiting requests. */
+    std::array<std::uint64_t, 2> waiting_{};
     Tick bus_free_ = 0;
 
     /** Pooled slots; read_queue_capacity + write_queue_capacity. */
@@ -314,8 +332,16 @@ class MemDevice : public SimObject
     std::size_t undo_base_ = 0;
     /** Oldest staged entry: staged writes are the log's tail. */
     std::size_t staged_head_ = 0;
+    /** Writes staged but not yet enqueued. */
+    std::size_t staged_ = 0;
 
     bool draining_writes_ = false;
+    /**
+     * Tick of the last scheduling pass, and whether a request was
+     * enqueued or completed (or the device quiesced) since then.
+     */
+    Tick last_pass_tick_ = 0;
+    bool sched_dirty_ = true;
     std::uint64_t next_seq_ = 0;
     /** Coalesces a same-tick burst of enqueues into one scheduling pass. */
     Event schedule_event_;

@@ -29,18 +29,15 @@ struct SweepParam
     bool stop_the_world;
 };
 
-std::string
-paramName(const ::testing::TestParamInfo<SweepParam>& info)
+/** Names the ctest "btt8_ptt2_ovf64_Dual_ovl" (not the raw bytes). */
+void
+PrintTo(const SweepParam& p, std::ostream* os)
 {
-    const auto& p = info.param;
-    std::string mode = p.mode == CheckpointMode::Dual
-                           ? "Dual"
-                           : p.mode == CheckpointMode::BlockOnly
-                                 ? "BlockOnly"
-                                 : "PageOnly";
-    return "btt" + std::to_string(p.btt) + "_ptt" +
-           std::to_string(p.ptt) + "_ovf" + std::to_string(p.overflow) +
-           "_" + mode + (p.stop_the_world ? "_stw" : "_ovl");
+    const char* mode = p.mode == CheckpointMode::Dual        ? "Dual"
+                       : p.mode == CheckpointMode::BlockOnly ? "BlockOnly"
+                                                             : "PageOnly";
+    *os << "btt" << p.btt << "_ptt" << p.ptt << "_ovf" << p.overflow << "_"
+        << mode << (p.stop_the_world ? "_stw" : "_ovl");
 }
 
 class ConfigSweepTest : public ::testing::TestWithParam<SweepParam>
@@ -94,7 +91,7 @@ TEST_P(ConfigSweepTest, MixedWorkloadStaysCorrectAndRecovers)
     // Visible image equals the mirror for every configuration.
     std::vector<std::uint8_t> img(cfg.phys_size);
     ctrl->functionalRead(0, img.data(), img.size());
-    ASSERT_EQ(img, mirror) << paramName({GetParam(), 0});
+    ASSERT_EQ(img, mirror) << ::testing::PrintToString(GetParam());
 
     // Commit everything, crash, recover: the committed image must be
     // exactly the mirror.
@@ -134,7 +131,7 @@ sweepParams()
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometry, ConfigSweepTest,
-                         ::testing::ValuesIn(sweepParams()), paramName);
+                         ::testing::ValuesIn(sweepParams()));
 
 } // namespace
 } // namespace thynvm

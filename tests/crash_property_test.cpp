@@ -20,7 +20,6 @@
 #include <iterator>
 #include <map>
 #include <set>
-#include <tuple>
 
 #include "baselines/journal.hh"
 #include "baselines/shadow.hh"
@@ -162,6 +161,14 @@ struct ThyNvmCrashParam
     unsigned epochs;
     unsigned crash_steps;
 };
+
+/** Names the ctest "seed1000_epochs2_steps123". */
+void
+PrintTo(const ThyNvmCrashParam& p, std::ostream* os)
+{
+    *os << "seed" << p.seed << "_epochs" << p.epochs << "_steps"
+        << p.crash_steps;
+}
 
 class ThyNvmCrashTest
     : public ::testing::TestWithParam<ThyNvmCrashParam>
@@ -405,8 +412,22 @@ profileCrashTick(const fuzz::FuzzerConfig& fc, SystemKind kind,
     return reg.crashTick();
 }
 
-class BackendCrashSweepTest
-    : public ::testing::TestWithParam<std::tuple<SystemKind, unsigned>>
+struct BackendCase
+{
+    SystemKind kind;
+    unsigned channels;
+};
+
+/** Names the ctest "shadow" at one channel, "shadow_ch2" at two. */
+void
+PrintTo(const BackendCase& c, std::ostream* os)
+{
+    PrintTo(c.kind, os);
+    if (c.channels != 1)
+        *os << "_ch" << c.channels;
+}
+
+class BackendCrashSweepTest : public ::testing::TestWithParam<BackendCase>
 {};
 
 TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
@@ -553,29 +574,21 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
 }
 
 /** Every kind at one channel, the checkpointing kinds also at two. */
-std::vector<std::tuple<SystemKind, unsigned>>
+std::vector<BackendCase>
 sweepParams()
 {
-    std::vector<std::tuple<SystemKind, unsigned>> params;
+    std::vector<BackendCase> params;
     for (unsigned channels : {1u, 2u}) {
         for (SystemKind kind : kAllSystemKinds) {
             if (channels == 1 || isCheckpointingKind(kind))
-                params.emplace_back(kind, channels);
+                params.push_back({kind, channels});
         }
     }
     return params;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, BackendCrashSweepTest, ::testing::ValuesIn(sweepParams()),
-    [](const ::testing::TestParamInfo<std::tuple<SystemKind, unsigned>>&
-           info) {
-        // Token with gtest-legal characters only ("ideal-dram" has '-').
-        const unsigned channels = std::get<1>(info.param);
-        std::string tok = fuzz::systemToken(std::get<0>(info.param));
-        tok.erase(std::remove(tok.begin(), tok.end(), '-'), tok.end());
-        return channels == 1 ? tok : tok + "_ch" + std::to_string(channels);
-    });
+INSTANTIATE_TEST_SUITE_P(AllBackends, BackendCrashSweepTest,
+                         ::testing::ValuesIn(sweepParams()));
 
 } // namespace
 } // namespace thynvm

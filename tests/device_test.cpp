@@ -417,5 +417,52 @@ TEST(PortTest, UndoLogStaysBoundedThroughABurst)
     }
 }
 
+TEST(DeviceTest, VolatileDeviceCrashZeroesStoreAndLogsNothing)
+{
+    EventQueue eq;
+    auto p = DeviceParams::dram(1 << 20);
+    p.write_queue_capacity = 4;
+    p.write_drain_high = 3;
+    p.write_drain_low = 1;
+    MemDevice dev(eq, "dev", p);
+    DevicePort port(dev);
+    ASSERT_FALSE(dev.params().persistent);
+
+    // Serviced writes: sent and run to completion.
+    for (unsigned i = 0; i < 8; ++i) {
+        const auto data = patternBlock(70 + i);
+        port.sendWrite(i * kBlockSize, data.data(),
+                       TrafficSource::CpuWriteback);
+    }
+    eq.run();
+    EXPECT_EQ(dev.totalWriteBytes(), 8 * kBlockSize);
+    EXPECT_EQ(dev.undoLogSize(), 0u);
+
+    // Queued and staged writes: four fill the write queue, the rest
+    // wait in the port, staged in the store.
+    constexpr unsigned kSent = 10;
+    for (unsigned i = 0; i < kSent; ++i) {
+        const auto data = patternBlock(80 + i);
+        port.sendWrite((8 + i) * kBlockSize, data.data(),
+                       TrafficSource::CpuWriteback);
+        EXPECT_EQ(dev.undoLogSize(), 0u);
+    }
+    EXPECT_FALSE(dev.writesDrained());
+    EXPECT_EQ(port.pendingWrites(), kSent - p.write_queue_capacity);
+    EXPECT_EQ(dev.stagedWrites(), port.pendingWrites());
+    EXPECT_EQ(dev.liveUndoEntries(), 0u);
+    for (unsigned i = 0; i < kSent; ++i)
+        EXPECT_EQ(storeBlock(dev, (8 + i) * kBlockSize), patternBlock(80 + i));
+
+    // Power loss: nothing survives, serviced writes included.
+    port.crash();
+    dev.crash();
+    EXPECT_EQ(dev.stagedWrites(), 0u);
+    EXPECT_EQ(dev.undoLogSize(), 0u);
+    EXPECT_EQ(dev.store().touchedPageCount(), 0u);
+    for (unsigned i = 0; i < 8 + kSent; ++i)
+        EXPECT_EQ(storeBlock(dev, i * kBlockSize), kZeros);
+}
+
 } // namespace
 } // namespace thynvm

@@ -5,7 +5,7 @@
  * flagship crash-resume-equivalence property.
  */
 
-#include <gtest/gtest.h>
+#include "tests/test_util.hh"
 
 #include <string>
 
@@ -315,6 +315,16 @@ struct CrashResumeParam
     KvWorkload::Structure structure;
     Tick crash_at;
 };
+
+/** Names the ctest "thynvm_hash_70us". */
+void
+PrintTo(const CrashResumeParam& p, std::ostream* os)
+{
+    PrintTo(p.kind, os);
+    *os << (p.structure == KvWorkload::Structure::HashTable ? "_hash"
+                                                            : "_rbtree")
+        << "_" << p.crash_at / kMicrosecond << "us";
+}
 
 class CrashResumeTest : public ::testing::TestWithParam<CrashResumeParam>
 {};

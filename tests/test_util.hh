@@ -10,11 +10,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/types.hh"
+#include "harness/system_kind.hh"
 #include "mem/controller.hh"
 #include "sim/eventq.hh"
 
@@ -115,6 +117,21 @@ struct EnvGuard
 };
 
 } // namespace test
+
+/**
+ * gtest printer for SystemKind test parameters: the kind's token without
+ * '-' ("idealdram"). CTest's test discovery names an index-named
+ * parameterized test after this printout.
+ */
+inline void
+PrintTo(SystemKind kind, std::ostream* os)
+{
+    for (const char* c = systemToken(kind); *c != '\0'; ++c) {
+        if (*c != '-')
+            *os << *c;
+    }
+}
+
 } // namespace thynvm
 
 #endif // THYNVM_TESTS_TEST_UTIL_HH
