@@ -96,7 +96,7 @@ class PagedBytes
             const std::size_t chunk = std::min(len, kHostPageSize - off);
             const Page* p = table_[pi].load(std::memory_order_acquire);
             if (p != nullptr)
-                std::memcpy(out, p->bytes + off, chunk);
+                copyChunk(out, p->bytes + off, chunk);
             else
                 std::memset(out, 0, chunk);
             out += chunk;
@@ -114,7 +114,7 @@ class PagedBytes
             const std::size_t pi = addr / kHostPageSize;
             const std::size_t off = addr % kHostPageSize;
             const std::size_t chunk = std::min(len, kHostPageSize - off);
-            std::memcpy(pageForWrite(pi) + off, in, chunk);
+            copyChunk(pageForWrite(pi) + off, in, chunk);
             in += chunk;
             addr += chunk;
             len -= chunk;
@@ -231,6 +231,23 @@ class PagedBytes
     numPages() const
     {
         return (size_ + kHostPageSize - 1) / kHostPageSize;
+    }
+
+    /**
+     * Copy one chunk. A runtime-length memcpy is compiled to an inline
+     * `rep movs`, whose start-up cost dwarfs an 8-byte or one-block
+     * copy; the two sizes that dominate (scalar fields and 64 B blocks)
+     * get fixed-size copies, which compile to plain moves.
+     */
+    static void
+    copyChunk(std::uint8_t* dst, const std::uint8_t* src, std::size_t n)
+    {
+        if (n == 8)
+            std::memcpy(dst, src, 8);
+        else if (n == 64)
+            std::memcpy(dst, src, 64);
+        else
+            std::memcpy(dst, src, n);
     }
 
     static Page*

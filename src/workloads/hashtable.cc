@@ -72,8 +72,23 @@ SimHashTable::insert(MemSpace& mem, std::uint64_t key, const void* value,
         }
         node = n.next;
     }
+    linkAtHead(mem, arr, b, key, value, len);
+}
 
-    // Insert at chain head.
+void
+SimHashTable::insertAbsent(MemSpace& mem, std::uint64_t key,
+                           const void* value, std::uint32_t len) const
+{
+    const Addr arr = bucketsAddr(mem);
+    const std::uint64_t b = hashKey(key) % nbuckets(mem);
+    linkAtHead(mem, arr, b, key, value, len);
+}
+
+void
+SimHashTable::linkAtHead(MemSpace& mem, Addr arr, std::uint64_t b,
+                         std::uint64_t key, const void* value,
+                         std::uint32_t len) const
+{
     Node n{};
     n.key = key;
     n.next = mem.readT<std::uint64_t>(arr + b * 8);

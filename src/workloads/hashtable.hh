@@ -49,6 +49,14 @@ class SimHashTable
     void insert(MemSpace& mem, std::uint64_t key, const void* value,
                 std::uint32_t len) const;
 
+    /**
+     * Insert @p key, known to be absent, at its chain head without
+     * walking the chain. The result is the same as insert() of an
+     * absent key.
+     */
+    void insertAbsent(MemSpace& mem, std::uint64_t key, const void* value,
+                      std::uint32_t len) const;
+
     /** Erase @p key. Returns false if absent. */
     bool erase(MemSpace& mem, std::uint64_t key) const;
 
@@ -73,6 +81,16 @@ class SimHashTable
     static_assert(sizeof(Node) == 32);
 
     static constexpr std::uint64_t kMagic = 0x484153485441424cull;
+
+    /**
+     * Link a new node for @p key at the head of bucket @p b of the
+     * bucket array @p arr. Takes what the caller already read: a
+     * re-read of the header would add loads to insert(), and during
+     * simulation every read is replayed as a timed load.
+     */
+    void linkAtHead(MemSpace& mem, Addr arr, std::uint64_t b,
+                    std::uint64_t key, const void* value,
+                    std::uint32_t len) const;
 
     Addr bucketsAddr(MemSpace& mem) const
     {

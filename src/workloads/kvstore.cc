@@ -107,24 +107,35 @@ KvWorkload::buildInitialImage(const Params& p, HostMemSpace& img)
 {
     SimHeap heap(heapBase(), p.phys_size - heapBase());
     heap.format(img);
+    const bool hash = p.structure == Structure::HashTable;
+    SimHashTable table(tableHeaderAddr(), heap);
+    SimRbTree tree(tableHeaderAddr(), heap);
+    if (hash)
+        table.create(img, p.hash_buckets);
+    else
+        tree.create(img);
+
+    // Every initial value is fillValue(key, 0, ...), so a repeated draw
+    // would only rewrite identical bytes through the same-size update
+    // path: skip it, still drawing the RNG in the same order. Drawn keys
+    // are kept in a host bitmap over key_space. A first draw is absent
+    // from the store, so a hash key is linked without a chain walk.
+    fatal_if(p.key_space > (std::uint64_t{1} << 32),
+             "key_space above 2^32: the image build's drawn-key bitmap "
+             "would exceed 512 MiB");
+    std::vector<bool> present(p.key_space);
     Rng init_rng(p.seed + 0x1234);
     std::vector<std::uint8_t> value(p.value_size);
-    if (p.structure == Structure::HashTable) {
-        SimHashTable table(tableHeaderAddr(), heap);
-        table.create(img, p.hash_buckets);
-        for (std::uint64_t i = 0; i < p.initial_keys; ++i) {
-            const std::uint64_t key = init_rng.below(p.key_space);
-            fillValue(key, 0, value.data(), p.value_size);
-            table.insert(img, key, value.data(), p.value_size);
-        }
-    } else {
-        SimRbTree tree(tableHeaderAddr(), heap);
-        tree.create(img);
-        for (std::uint64_t i = 0; i < p.initial_keys; ++i) {
-            const std::uint64_t key = init_rng.below(p.key_space);
-            fillValue(key, 0, value.data(), p.value_size);
+    for (std::uint64_t i = 0; i < p.initial_keys; ++i) {
+        const std::uint64_t key = init_rng.below(p.key_space);
+        if (present[key])
+            continue;
+        present[key] = true;
+        fillValue(key, 0, value.data(), p.value_size);
+        if (hash)
+            table.insertAbsent(img, key, value.data(), p.value_size);
+        else
             tree.insert(img, key, value.data(), p.value_size);
-        }
     }
 }
 

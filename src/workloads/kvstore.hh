@@ -54,7 +54,7 @@ class KvWorkload : public Workload
         std::uint32_t value_size = 256;
         /** Keys preloaded before measurement. */
         std::uint64_t initial_keys = 1024;
-        /** Keys are drawn from [0, key_space). */
+        /** Keys are drawn from [0, key_space); at most 2^32. */
         std::uint64_t key_space = 4096;
         /**
          * Zipfian skew of transaction keys: 0 keeps the historical

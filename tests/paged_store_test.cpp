@@ -218,16 +218,31 @@ TEST(PagedBytes, MatchesFlatModelUnderRandomOpsAndCowCopies)
         const std::size_t s = rng.below(stores.size());
         PagedBytes& pb = stores[s];
         FlatModel& m = models[s];
-        // One to two whole pages a third of the time (clearRange then
-        // drops pages), else any range of up to 2.5 pages.
+        // A quarter of the time an 8 B scalar or a 64 B block, either
+        // block-aligned or straddling a host page (the fixed-size copy
+        // paths, and their split into two general-path chunks); a
+        // quarter one to two whole pages (clearRange then drops pages);
+        // else any range of up to 2.5 pages.
         Addr a = 0;
         std::size_t len = 0;
-        if (rng.below(3) == 0) {
-            a = rng.below(pages) * kHostPageSize;
-            len = (1 + rng.below(2)) * kHostPageSize;
-        } else {
-            a = rng.below(size);
-            len = 1 + rng.below(5 * kHostPageSize / 2);
+        switch (rng.below(4)) {
+          case 0: {
+              len = rng.below(2) == 0 ? 8 : 64;
+              // Any page but the short last one, so a straddle fits.
+              const Addr page = rng.below(pages - 1) * kHostPageSize;
+              a = rng.below(2) == 0
+                      ? page + rng.below(kHostPageSize / 64) * 64
+                      : page + kHostPageSize - len / 2;
+              break;
+          }
+          case 1:
+              a = rng.below(pages) * kHostPageSize;
+              len = (1 + rng.below(2)) * kHostPageSize;
+              break;
+          default:
+              a = rng.below(size);
+              len = 1 + rng.below(5 * kHostPageSize / 2);
+              break;
         }
         len = std::min<std::size_t>(len, size - a);
 

@@ -498,5 +498,76 @@ TEST(KvWorkloadTest, FillValueMatchesBytewiseStream)
     }
 }
 
+/**
+ * The initial image the way it was built before repeated draws were
+ * skipped: one plain insert() per draw. The header at 64 and the heap
+ * from 4096 are KvWorkload's layout.
+ */
+void
+buildImageByInsert(const KvWorkload::Params& p, HostMemSpace& img)
+{
+    SimHeap heap(4096, p.phys_size - 4096);
+    heap.format(img);
+    const bool hash = p.structure == KvWorkload::Structure::HashTable;
+    SimHashTable table(64, heap);
+    SimRbTree tree(64, heap);
+    if (hash)
+        table.create(img, p.hash_buckets);
+    else
+        tree.create(img);
+    Rng rng(p.seed + 0x1234);
+    std::vector<std::uint8_t> value(p.value_size);
+    for (std::uint64_t i = 0; i < p.initial_keys; ++i) {
+        const std::uint64_t key = rng.below(p.key_space);
+        KvWorkload::fillValue(key, 0, value.data(), p.value_size);
+        if (hash)
+            table.insert(img, key, value.data(), p.value_size);
+        else
+            tree.insert(img, key, value.data(), p.value_size);
+    }
+}
+
+TEST(KvWorkloadTest, InitialImageMatchesOneInsertPerDraw)
+{
+    // {initial_keys, key_space}: a few repeats; repeats dominating
+    // (key_space < initial_keys); and a sparse key space.
+    const std::pair<std::uint64_t, std::uint64_t> shapes[] = {
+        {300, 1200}, {600, 150}, {40, 1u << 20}};
+    std::uint64_t seed = 1;
+    for (auto structure : {KvWorkload::Structure::HashTable,
+                           KvWorkload::Structure::RbTree}) {
+        for (std::uint32_t value_size : {16u, 256u, 4096u}) {
+            for (const auto& [initial, space] : shapes) {
+                KvWorkload::Params p;
+                p.structure = structure;
+                p.phys_size = 8u << 20;
+                p.value_size = value_size;
+                p.initial_keys = initial;
+                p.key_space = space;
+                p.hash_buckets = 64;
+                p.seed = seed++;
+                HostMemSpace got(p.phys_size), want(p.phys_size);
+                KvWorkload::runReference(p, 0, got);
+                buildImageByInsert(p, want);
+                ASSERT_EQ(got.bytes(), want.bytes())
+                    << "seed=" << p.seed << " value_size=" << value_size
+                    << " initial_keys=" << initial
+                    << " key_space=" << space;
+                KvWorkload::validateStructure(p, got);
+            }
+        }
+    }
+}
+
+TEST(KvWorkloadTest, KeySpaceAboveTwoToThe32IsRejected)
+{
+    KvWorkload::Params p;
+    p.phys_size = 1u << 20;
+    p.initial_keys = 1;
+    p.key_space = (std::uint64_t{1} << 32) + 1;
+    HostMemSpace img(p.phys_size);
+    EXPECT_THROW(KvWorkload::runReference(p, 0, img), FatalError);
+}
+
 } // namespace
 } // namespace thynvm
