@@ -27,9 +27,10 @@ using test::patternBlock;
 constexpr std::size_t kPhys = 64 * 1024;
 
 ThyNvmConfig
-modelConfig()
+modelConfig(bool stop_the_world)
 {
     ThyNvmConfig cfg;
+    cfg.stop_the_world = stop_the_world;
     cfg.phys_size = kPhys;
     cfg.btt_entries = 12;
     cfg.ptt_entries = 3;
@@ -49,10 +50,10 @@ modelConfig()
 class Scenario
 {
   public:
-    explicit Scenario(EventQueue& eq) : eq_(eq)
+    explicit Scenario(EventQueue& eq, bool stop_the_world = false)
+        : eq_(eq), cfg_(modelConfig(stop_the_world))
     {
-        ctrl_ = std::make_unique<ThyNvmController>(eq_, "ctrl",
-                                                   modelConfig());
+        ctrl_ = std::make_unique<ThyNvmController>(eq_, "ctrl", cfg_);
         mirror_.assign(kPhys, 0);
         boundary_images_.push_back(mirror_);
         ctrl_->start();
@@ -129,8 +130,7 @@ class Scenario
         auto nvm = ctrl_->nvmStoreHandle();
         ctrl_->crash();
         eq_.clear();
-        ctrl_ = std::make_unique<ThyNvmController>(eq_, "ctrl",
-                                                   modelConfig(), nvm);
+        ctrl_ = std::make_unique<ThyNvmController>(eq_, "ctrl", cfg_, nvm);
         bool done = false;
         ctrl_->recover([&done] { done = true; });
         eq_.runUntil([&done] { return done; });
@@ -234,6 +234,7 @@ class Scenario
     }
 
     EventQueue& eq_;
+    ThyNvmConfig cfg_;
     std::unique_ptr<ThyNvmController> ctrl_;
     std::vector<std::uint8_t> mirror_;
     std::vector<std::vector<std::uint8_t>> boundary_images_;
@@ -255,13 +256,18 @@ TEST(ProtocolModelTest, ScenarioExercisesBothSchemes)
     EXPECT_GT(s.stat("overflow_blocks"), 0.0);
 }
 
-TEST(ProtocolModelTest, EveryCrashPointRecoversToABoundaryImage)
+/**
+ * Crash the scenario after every event index in turn and require each
+ * recovered image to be the initial image or a store-prefix image.
+ */
+void
+expectEveryCrashPointRecovers(bool stop_the_world)
 {
     // Count the total events of an undisturbed run.
     std::uint64_t total = 0;
     {
         EventQueue eq;
-        Scenario s(eq);
+        Scenario s(eq, stop_the_world);
         total = s.runAll();
     }
     ASSERT_GT(total, 100u);
@@ -269,7 +275,7 @@ TEST(ProtocolModelTest, EveryCrashPointRecoversToABoundaryImage)
     std::uint64_t checked = 0;
     for (std::uint64_t k = 0; k <= total; ++k) {
         EventQueue eq;
-        Scenario s(eq);
+        Scenario s(eq, stop_the_world);
         s.runSteps(k);
         const auto img = s.crashAndRecover();
         bool matched = img == s.boundaryImages().front();
@@ -284,6 +290,17 @@ TEST(ProtocolModelTest, EveryCrashPointRecoversToABoundaryImage)
         ++checked;
     }
     ASSERT_EQ(checked, total + 1);
+}
+
+TEST(ProtocolModelTest, EveryCrashPointRecoversToABoundaryImage)
+{
+    expectEveryCrashPointRecovers(false);
+}
+
+/** The same sweep with the CPU held until each commit (Figure 3a). */
+TEST(ProtocolModelTest, EveryCrashPointRecoversToABoundaryImageStopTheWorld)
+{
+    expectEveryCrashPointRecovers(true);
 }
 
 } // namespace
