@@ -4,9 +4,9 @@
  * view coherence, and workload snapshot semantics under checkpointing.
  */
 
-#include <algorithm>
+#include "tests/test_util.hh"
 
-#include <gtest/gtest.h>
+#include <algorithm>
 
 #include "fuzz/fuzzer.hh"
 #include "harness/system.hh"

@@ -3,7 +3,7 @@
  * Tests for memory-trace recording and replay.
  */
 
-#include <gtest/gtest.h>
+#include "tests/test_util.hh"
 
 #include <cstdio>
 
