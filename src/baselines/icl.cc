@@ -46,7 +46,8 @@ IclController::nvmCapacity(const IclConfig& cfg)
 IclController::IclController(EventQueue& eq, std::string name,
                              const IclConfig& cfg,
                              std::shared_ptr<BackingStore> nvm_store)
-    : EpochController(eq, std::move(name), cfg.epoch_length),
+    : EpochController(eq, std::move(name), cfg.epoch_length,
+                      At::Commit, At::Commit),
       cfg_(cfg),
       nvm_dev_(eq, this->name() + ".nvm",
                DeviceParams::nvm(nvmCapacity(cfg)), std::move(nvm_store)),
@@ -268,7 +269,6 @@ IclController::doCheckpoint(std::function<void()> done)
             [this, done = std::move(done)]() mutable {
                 commitGate(1, [this, done = std::move(done)]() mutable {
                     crashPoint("ckpt.pre_epoch_advance");
-                    ++epoch_num_;
                     live_.clear();
                     done();
                 });

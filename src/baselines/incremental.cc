@@ -27,7 +27,8 @@ IncrementalController::nvmCapacity(const IncrementalConfig& cfg)
 IncrementalController::IncrementalController(
     EventQueue& eq, std::string name, const IncrementalConfig& cfg,
     std::shared_ptr<BackingStore> nvm_store)
-    : EpochController(eq, std::move(name), cfg.epoch_length),
+    : EpochController(eq, std::move(name), cfg.epoch_length,
+                      At::Commit, At::Commit),
       cfg_(cfg),
       dram_dev_(eq, this->name() + ".dram",
                 DeviceParams::dram((cfg.table_entries + cfg.table_headroom)
@@ -106,7 +107,7 @@ IncrementalController::accessBlock(Addr paddr, bool is_write,
         }
         slot = next_slot_++;
         table_.emplace(paddr, slot);
-        if (table_.size() >= cfg_.table_entries && !ckpt_in_progress_) {
+        if (table_.size() >= cfg_.table_entries && !boundaryInProgress()) {
             ++overflow_epochs_;
             requestEpochEnd();
         }
@@ -270,7 +271,6 @@ IncrementalController::doCheckpoint(std::function<void()> done)
                 write_all_ = false;
                 table_.clear();
                 next_slot_ = 0;
-                ++epoch_num_;
                 done();
             });
         });

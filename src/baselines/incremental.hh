@@ -21,7 +21,7 @@
 #include <set>
 #include <unordered_map>
 
-#include "baselines/epoch_controller.hh"
+#include "mem/epoch_controller.hh"
 #include "mem/port.hh"
 
 namespace thynvm {

@@ -33,7 +33,8 @@ JournalController::nvmCapacity(const JournalConfig& cfg)
 JournalController::JournalController(
     EventQueue& eq, std::string name, const JournalConfig& cfg,
     std::shared_ptr<BackingStore> nvm_store)
-    : EpochController(eq, std::move(name), cfg.epoch_length),
+    : EpochController(eq, std::move(name), cfg.epoch_length,
+                      At::Commit, At::Commit),
       cfg_(cfg),
       dram_dev_(eq, this->name() + ".dram",
                 DeviceParams::dram((cfg.table_entries + cfg.table_headroom)
@@ -123,7 +124,7 @@ JournalController::accessBlock(Addr paddr, bool is_write,
         }
         slot = next_slot_++;
         table_.emplace(paddr, slot);
-        if (table_.size() >= cfg_.table_entries && !ckpt_in_progress_) {
+        if (table_.size() >= cfg_.table_entries && !boundaryInProgress()) {
             ++overflow_epochs_;
             requestEpochEnd();
         }
@@ -214,7 +215,7 @@ JournalController::doCheckpoint(std::function<void()> done)
                             TrafficSource::Checkpoint);
     }
 
-    const std::uint64_t epoch = epoch_num_++;
+    const std::uint64_t epoch = epoch_num_;
     stageCpuState(epoch);
     auto commit_entries = std::make_shared<
         std::vector<std::pair<std::size_t, Addr>>>(std::move(entries));

@@ -18,7 +18,7 @@
 
 #include <unordered_map>
 
-#include "baselines/epoch_controller.hh"
+#include "mem/epoch_controller.hh"
 #include "mem/port.hh"
 
 namespace thynvm {

@@ -18,7 +18,8 @@ constexpr std::uint64_t kShadowMagic = 0x5348414457504721ull; // SHADWPG!
 ShadowController::ShadowController(
     EventQueue& eq, std::string name, const ShadowConfig& cfg,
     std::shared_ptr<BackingStore> nvm_store)
-    : EpochController(eq, std::move(name), cfg.epoch_length),
+    : EpochController(eq, std::move(name), cfg.epoch_length,
+                      At::Commit, At::Commit),
       cfg_(cfg),
       dram_dev_(eq, this->name() + ".dram",
                 DeviceParams::dram(cfg.dram_size)),
@@ -309,7 +310,6 @@ ShadowController::doCheckpoint(std::function<void()> done)
                     committed_slot_[i] ^= working_nvm_valid_[i];
                     working_nvm_valid_[i] = 0;
                 }
-                ++epoch_num_;
                 done();
               });
             });

@@ -7,8 +7,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <memory>
+#include <utility>
 
 namespace thynvm {
 
@@ -22,7 +22,8 @@ constexpr std::uint64_t kBackupMagic = 0x5468794e564d2121ull; // "ThyNVM!!"
 ThyNvmController::ThyNvmController(EventQueue& eq, std::string name,
                                    const ThyNvmConfig& cfg,
                                    std::shared_ptr<BackingStore> nvm_store)
-    : MemController(eq, name),
+    : EpochController(eq, name, cfg.epoch_length, At::FlushDone,
+                      cfg.stop_the_world ? At::Commit : At::FlushDone),
       cfg_(cfg),
       layout_(cfg),
       dram_dev_(eq, name + ".dram", DeviceParams::dram(layout_.dramSize())),
@@ -34,14 +35,14 @@ ThyNvmController::ThyNvmController(EventQueue& eq, std::string name,
               {layout_.backupSlot(0), layout_.backupSlot(1)},
               {layout_.backupSlot(0) + layout_.cpuAreaOffset(),
                layout_.backupSlot(1) + layout_.cpuAreaOffset()},
-              cfg.cpu_state_max),
+              // The CPU area holds cpu_state_max bytes, length included.
+              cfg.cpu_state_max - 8),
       btt_(cfg.btt_entries),
-      ptt_(cfg.ptt_entries),
-      epoch_timer_([this] { requestEpochEnd(); }),
-      boundary_event_([this] { tryBeginBoundary(); })
+      ptt_(cfg.ptt_entries)
 {
     fatal_if(cfg_.phys_size == 0 || cfg_.btt_entries == 0 ||
-                 cfg_.ptt_entries == 0 || cfg_.overflow_entries == 0,
+                 cfg_.ptt_entries == 0 || cfg_.overflow_entries == 0 ||
+                 cfg_.cpu_state_max < 8,
              "degenerate ThyNVM configuration");
     overflow_free_.reserve(cfg_.overflow_entries);
     for (std::size_t i = cfg_.overflow_entries; i-- > 0;)
@@ -90,34 +91,6 @@ ThyNvmController::ThyNvmController(EventQueue& eq, std::string name,
 // ---------------------------------------------------------------------
 // Public interface.
 // ---------------------------------------------------------------------
-
-void
-ThyNvmController::start()
-{
-    panic_if(started_, "controller started twice");
-    started_ = true;
-    armEpochTimer();
-}
-
-void
-ThyNvmController::armEpochTimer()
-{
-    if (halted_)
-        return;
-    if (epoch_timer_.scheduled())
-        eventq_.deschedule(epoch_timer_);
-    eventq_.schedule(epoch_timer_, curTick() + cfg_.epoch_length);
-}
-
-void
-ThyNvmController::halt()
-{
-    halted_ = true;
-    if (epoch_timer_.scheduled())
-        eventq_.deschedule(epoch_timer_);
-    if (!ckpt_in_progress_ && !boundary_in_progress_)
-        boundary_requested_ = false;
-}
 
 void
 ThyNvmController::accessBlock(Addr paddr, bool is_write,
@@ -193,28 +166,6 @@ ThyNvmController::functionalRead(Addr paddr, void* buf,
         addr += chunk;
         remaining -= chunk;
     }
-}
-
-void
-ThyNvmController::persistCpuState(const std::vector<std::uint8_t>& blob)
-{
-    fatal_if(blob.size() + 8 > cfg_.cpu_state_max,
-             "CPU state blob exceeds reserved backup space");
-    cpu_state_ = blob;
-}
-
-void
-ThyNvmController::requestEpochEnd()
-{
-    if (!started_ || halted_)
-        return;
-    boundary_requested_ = true;
-    // Defer: the request may originate mid-way through a store path,
-    // and the boundary must only run between fully applied accesses.
-    // A still-pending attempt (necessarily at this same tick, since
-    // time cannot advance past a queued event) covers this request too.
-    if (!boundary_event_.scheduled())
-        eventq_.schedule(boundary_event_, curTick());
 }
 
 // ---------------------------------------------------------------------
@@ -338,7 +289,7 @@ ThyNvmController::handleStore(Addr block_paddr, const std::uint8_t* wdata,
     if (pidx != Ptt::npos) {
         PttEntry& pe = ptt_.at(pidx);
         ++pe.store_count;
-        if (pe.wb_in_flight || (pe.demoting && ckpt_in_progress_)) {
+        if (pe.wb_in_flight || (pe.demoting && checkpointInProgress())) {
             // §3.4 cooperation: the page cannot be modified in DRAM
             // while its checkpoint copy is in flight; divert the store
             // to block remapping.
@@ -473,31 +424,6 @@ ThyNvmController::storeToBlock(Addr block_paddr, const std::uint8_t* wdata,
 }
 
 void
-ThyNvmController::stallStore(Addr block_paddr, const std::uint8_t* wdata,
-                             std::function<void()> done)
-{
-    ++stalled_store_count_;
-    StalledStore s;
-    s.block_paddr = block_paddr;
-    std::memcpy(s.data.data(), wdata, kBlockSize);
-    s.done = std::move(done);
-    s.stalled_at = curTick();
-    stalled_stores_.push_back(std::move(s));
-}
-
-void
-ThyNvmController::retryStalledStores()
-{
-    auto stalled = std::move(stalled_stores_);
-    stalled_stores_.clear();
-    for (auto& s : stalled) {
-        // The whole wait for the commit was exposed to these stores.
-        ckpt_stall_time_ += static_cast<double>(curTick() - s.stalled_at);
-        handleStore(s.block_paddr, s.data.data(), std::move(s.done));
-    }
-}
-
-void
 ThyNvmController::overflowStore(Addr block_paddr, const std::uint8_t* wdata,
                                 std::function<void()> done)
 {
@@ -506,11 +432,12 @@ ThyNvmController::overflowStore(Addr block_paddr, const std::uint8_t* wdata,
     if (it != overflow_map_.end()) {
         slot = it->second;
     } else {
-        if (!boundary_in_progress_ &&
+        if (!flushing_ &&
             overflow_map_.size() >= cfg_.overflow_stall_watermark) {
             // Back-pressure: pace execution by checkpoint recycling,
             // keeping the remaining capacity free for the flush.
-            stallStore(block_paddr, wdata, std::move(done));
+            ++stalled_store_count_;
+            stallAccess(block_paddr, true, wdata, std::move(done));
             requestEpochEnd();
             return;
         }
@@ -518,10 +445,11 @@ ThyNvmController::overflowStore(Addr block_paddr, const std::uint8_t* wdata,
             // The overflow buffer is a capacity backstop; exhausting
             // it means the configuration is far too small for the
             // workload's per-epoch write footprint.
-            fatal_if(boundary_in_progress_,
+            fatal_if(flushing_,
                      "overflow buffer exhausted during the checkpoint "
                      "flush; configure larger tables");
-            stallStore(block_paddr, wdata, std::move(done));
+            ++stalled_store_count_;
+            stallAccess(block_paddr, true, wdata, std::move(done));
             requestEpochEnd();
             return;
         }
@@ -582,8 +510,8 @@ ThyNvmController::stageOverflowLog()
     // slots whose data changed since their last write into *this*
     // backup area are rewritten; the live-slot bitmap is always
     // refreshed and defines validity at recovery.
-    const Addr slot_base = layout_.backupSlot(backup_toggle_);
-    auto& dirty = overflow_dirty_[backup_toggle_];
+    const Addr slot_base = layout_.backupSlot(ckptParity());
+    auto& dirty = overflow_dirty_[ckptParity()];
 
     std::vector<std::uint8_t> bitmap(
         roundUp((cfg_.overflow_entries + 7) / 8, kBlockSize), 0);
@@ -633,56 +561,11 @@ ThyNvmController::stageOverflowLog()
 }
 
 // ---------------------------------------------------------------------
-// Epoch boundary.
+// Scheme switching.
 // ---------------------------------------------------------------------
 
 void
-ThyNvmController::tryBeginBoundary()
-{
-    if (!started_ || !boundary_requested_ || boundary_in_progress_ ||
-        ckpt_in_progress_) {
-        return;
-    }
-    beginBoundary();
-}
-
-void
-ThyNvmController::beginBoundary()
-{
-    boundary_in_progress_ = true;
-    boundary_requested_ = false;
-    crashPoint("boundary.begin");
-    if (epoch_timer_.scheduled())
-        eventq_.deschedule(epoch_timer_);
-    stall_window_start_ = curTick();
-    if (flush_)
-        flush_([this] { afterFlush(); });
-    else
-        afterFlush();
-}
-
-void
-ThyNvmController::afterFlush()
-{
-    crashPoint("epoch.flush_done");
-    schemeSwitchDecisions();
-    ++epoch_;
-    armEpochTimer();
-
-    if (!cfg_.stop_the_world) {
-        const Tick stalled = curTick() - stall_window_start_;
-        ckpt_stall_time_ += static_cast<double>(stalled);
-        flush_stall_time_ += static_cast<double>(stalled);
-        if (resume_client_)
-            resume_client_();
-    }
-
-    boundary_in_progress_ = false;
-    startCheckpoint();
-}
-
-void
-ThyNvmController::schemeSwitchDecisions()
+ThyNvmController::closeEpoch()
 {
     if (cfg_.mode == CheckpointMode::Dual) {
         markDemotions();
@@ -841,11 +724,13 @@ ThyNvmController::promotePage(Addr page_paddr)
 // ---------------------------------------------------------------------
 
 void
-ThyNvmController::startCheckpoint()
+ThyNvmController::doCheckpoint(std::function<void()> done)
 {
-    panic_if(ckpt_in_progress_, "overlapping checkpoints");
-    ckpt_in_progress_ = true;
-    ckpt_start_tick_ = curTick();
+    // Overlapped, the CPU resumed at the end of the flush: its whole
+    // pause was the flush.
+    if (!cfg_.stop_the_world)
+        flush_stall_time_ += static_cast<double>(curTick() - boundary_start_);
+    ckpt_done_ = std::move(done);
     crashPoint("ckpt.start");
 
     retireOverflowEntries();
@@ -1043,7 +928,7 @@ ThyNvmController::persistBtt()
 {
     crashPoint("ckpt.persist_btt");
     const Addr dst =
-        layout_.backupSlot(backup_toggle_) + layout_.bttAreaOffset();
+        layout_.backupSlot(ckptParity()) + layout_.bttAreaOffset();
     const std::vector<std::uint8_t>& img = bttImage();
     if (cfg_.debug_drop_btt_entry < btt_.capacity()) {
         // Fault injection (fuzzer self-test): persist the image as if
@@ -1228,12 +1113,12 @@ void
 ThyNvmController::persistPttAndCpu()
 {
     crashPoint("ckpt.persist_ptt");
-    const Addr slot = layout_.backupSlot(backup_toggle_);
+    const Addr slot = layout_.backupSlot(ckptParity());
     stageMetadataWrite(slot + layout_.pttAreaOffset(), pttImage());
 
     // CPU architectural state, unpadded: the metadata byte count
     // charges exactly the blob.
-    stageMetadataWrite(commit_.cpuArea(backup_toggle_),
+    stageMetadataWrite(commit_.cpuArea(ckptParity()),
                        CommitRecord::encodeCpuState(cpu_state_));
 
     // Step 5: wait for every NVM write staged so far to become durable,
@@ -1241,15 +1126,15 @@ ThyNvmController::persistPttAndCpu()
     // multi-channel machine the image-staged edge is a cross-channel
     // barrier (commit gate phase 0).
     nvm_port_.notifyWhenWritesDurable(
-        [this] { commitGate(0, [this] { writeCommitHeader(); }); });
+        [this] { commitGate(0, [this] { writeBackupHeader(); }); });
 }
 
 void
-ThyNvmController::writeCommitHeader()
+ThyNvmController::writeBackupHeader()
 {
     crashPoint("ckpt.pre_commit_header");
-    // epoch_ - 1: the epoch this checkpoint captured.
-    commit_.writeHeader(backup_toggle_, epoch_ - 1, cpu_state_.size(),
+    // epoch_num_ - 1: the epoch this checkpoint captured.
+    commit_.writeHeader(ckptParity(), epoch_num_ - 1, cpu_state_.size(),
                         overflow_logged_);
     // Header-durable edge: cross-channel barrier (commit gate phase 1)
     // before the destructive flip to the new recovery image.
@@ -1260,7 +1145,6 @@ ThyNvmController::writeCommitHeader()
 void
 ThyNvmController::commitCheckpoint()
 {
-    crashPoint("ckpt.committed");
     // Flip block versions.
     std::vector<std::size_t> btt_release;
     btt_.forEachLive([&btt_release](std::size_t bidx, BttEntry& e) {
@@ -1321,21 +1205,7 @@ ThyNvmController::commitCheckpoint()
         releasePtt(pidx);
     }
 
-    ++epochs_;
-    noteEpochCommitted();
-    ckpt_busy_time_ += static_cast<double>(curTick() - ckpt_start_tick_);
-    ckpt_in_progress_ = false;
-    backup_toggle_ ^= 1u;
-
-    if (cfg_.stop_the_world) {
-        const Tick stalled = curTick() - stall_window_start_;
-        ckpt_stall_time_ += static_cast<double>(stalled);
-        if (resume_client_)
-            resume_client_();
-    }
-
-    retryStalledStores();
-    tryBeginBoundary();
+    std::exchange(ckpt_done_, nullptr)();
 }
 
 // ---------------------------------------------------------------------
@@ -1373,43 +1243,20 @@ ThyNvmController::crash()
     wb_queue_.clear();
     wb_reads_left_.clear();
     wb_active_pages_ = 0;
-    stalled_stores_.clear();
-    cpu_state_.clear();
-
-    ckpt_in_progress_ = false;
-    boundary_requested_ = false;
-    boundary_in_progress_ = false;
-    started_ = false;
-    halted_ = false;
-    if (epoch_timer_.scheduled())
-        eventq_.deschedule(epoch_timer_);
-    if (boundary_event_.scheduled())
-        eventq_.deschedule(boundary_event_);
+    ckpt_done_ = nullptr;
+    resetEpochState();
 }
 
 void
-ThyNvmController::recover(std::function<void()> done)
+ThyNvmController::rebuild(
+    const std::optional<CommitRecord::Committed>& committed,
+    RecoveryJoin& join)
 {
-    recoverTo(std::numeric_limits<std::uint64_t>::max(), std::move(done));
-}
-
-void
-ThyNvmController::recoverTo(std::uint64_t max_epoch,
-                            std::function<void()> done)
-{
-    // 1. Find the latest committed backup slot (after rolling back one
-    // that committed past max_epoch) and reload the CPU state.
-    RecoveryJoin join(recoveries_, std::move(done));
-    const std::optional<CommitRecord::Committed> committed =
-        commit_.recoverTo(max_epoch, join, recovered_cpu_state_);
-    if (!committed) {
-        // No checkpoint was ever committed: pristine state, all data at
-        // home. Nothing to rebuild.
-        epoch_ = 1;
-        backup_toggle_ = 0;
-        eventq_.scheduleIn(0, join.arrive());
+    // 1. The epoch loop found the latest committed backup slot (after
+    // rolling back one that committed past the recovery target) and
+    // reloaded the CPU state. None: pristine state, all data at home.
+    if (!committed)
         return;
-    }
     const unsigned best_slot = committed->parity;
 
     const Addr slot = layout_.backupSlot(best_slot);
@@ -1468,7 +1315,7 @@ ThyNvmController::recoverTo(std::uint64_t max_epoch,
 
     // 4. Timed reads of the CPU architectural state (restored in 1).
     const Addr cpu_area = commit_.cpuArea(best_slot);
-    for (Addr a = 0; a < roundUp(8 + recovered_cpu_state_.size(),
+    for (Addr a = 0; a < roundUp(8 + recoveredCpuState().size(),
                                  kBlockSize);
          a += kBlockSize) {
         sendTimedRead(false, cpu_area + a, TrafficSource::Recovery,
@@ -1519,16 +1366,6 @@ ThyNvmController::recoverTo(std::uint64_t max_epoch,
                       TrafficSource::Recovery, join.track());
     }
     panic_if(live != n_overflow, "overflow bitmap/count mismatch");
-
-    epoch_ = committed->hdr.epoch + 1;
-    backup_toggle_ = best_slot ^ 1u;
-    eventq_.scheduleIn(0, join.arrive()); // balance the initial count
-}
-
-std::uint64_t
-ThyNvmController::committedEpoch() const
-{
-    return commit_.committedEpoch();
 }
 
 } // namespace thynvm

@@ -4,9 +4,11 @@
  * via dual-scheme checkpointing (paper §3-§4).
  *
  * Overview of the implemented protocol (see DESIGN.md §3):
- *  - Epochs end on a timer or on table overflow. The CPU is paused only
- *    for the volatile-state flush; execution of the next epoch overlaps
- *    the checkpoint phase (Figure 3b), except in stop-the-world mode.
+ *  - Epochs end on a timer or on table overflow (the epoch loop is
+ *    EpochController's). The next epoch opens at the end of the
+ *    volatile-state flush, and the CPU resumes there: execution of the
+ *    next epoch overlaps the checkpoint phase (Figure 3b), except in
+ *    stop-the-world mode, where the CPU resumes at the commit.
  *  - Sparse updates use block remapping: the working copy is written
  *    directly to the NVM checkpoint region opposite the committed copy,
  *    so checkpointing them persists metadata only. When both NVM slots
@@ -36,8 +38,7 @@
 
 #include "core/config.hh"
 #include "core/tables.hh"
-#include "mem/commit_record.hh"
-#include "mem/controller.hh"
+#include "mem/epoch_controller.hh"
 #include "mem/port.hh"
 
 namespace thynvm {
@@ -46,7 +47,7 @@ namespace thynvm {
  * Hybrid DRAM+NVM persistent-memory controller with transparent
  * checkpointing.
  */
-class ThyNvmController : public MemController
+class ThyNvmController : public EpochController
 {
   public:
     /**
@@ -83,24 +84,7 @@ class ThyNvmController : public MemController
     void forEachTouchedPhysRange(
         const std::function<void(Addr, std::size_t)>& fn) const override;
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
-    void start() override;
     void crash() override;
-    void recover(std::function<void()> done) override;
-    void recoverTo(std::uint64_t max_epoch,
-                   std::function<void()> done) override;
-    std::uint64_t committedEpoch() const override;
-    void halt() override;
-    void persistCpuState(const std::vector<std::uint8_t>& blob) override;
-    const std::vector<std::uint8_t>& recoveredCpuState() const override
-    {
-        return recovered_cpu_state_;
-    }
-
-    /** Register the callback that resumes the paused CPU after flush. */
-    void setResumeClient(std::function<void()> cb)
-    {
-        resume_client_ = std::move(cb);
-    }
 
     MemDevice* nvmDevice() override { return &nvm_dev_; }
     MemDevice* dramDevice() override { return &dram_dev_; }
@@ -117,20 +101,20 @@ class ThyNvmController : public MemController
     MemDevice& nvm() { return nvm_dev_; }
     /** Address-space layout calculator. */
     const AddressLayout& layout() const { return layout_; }
-    /** Identifier of the currently executing epoch. */
-    std::uint64_t currentEpoch() const { return epoch_; }
-    /** True while a checkpoint phase is in progress. */
-    bool checkpointInProgress() const { return ckpt_in_progress_; }
     /** Live BTT entries. */
     std::size_t bttLive() const { return btt_.live(); }
     /** Live PTT entries. */
     std::size_t pttLive() const { return ptt_.live(); }
 
-    /**
-     * Request an early epoch boundary (explicit persistence interface,
-     * paper §6; also used on table overflow).
-     */
-    void requestEpochEnd() override;
+  protected:
+    const CommitRecord& commitRecord() const override { return commit_; }
+    /** Reload the tables, page images and overflow buffer. */
+    void rebuild(const std::optional<CommitRecord::Committed>& committed,
+                 RecoveryJoin& join) override;
+    /** Scheme-switch decisions from the closing epoch's store counts. */
+    void closeEpoch() override;
+    /** Steps 1-5 of the checkpoint phase (paper Figure 6b). */
+    void doCheckpoint(std::function<void()> done) override;
 
   private:
     // ------------------------------------------------------------------
@@ -149,11 +133,6 @@ class ThyNvmController : public MemController
      */
     void storeToBlock(Addr block_paddr, const std::uint8_t* wdata,
                       bool overlay, std::function<void()> done);
-    /** Stall a store until table space frees at the next commit. */
-    void stallStore(Addr block_paddr, const std::uint8_t* wdata,
-                    std::function<void()> done);
-    void retryStalledStores();
-
     /**
      * Stage a store in the DRAM overflow buffer when neither table can
      * track its block. Overflow blocks are checkpointed journal-style
@@ -184,16 +163,16 @@ class ThyNvmController : public MemController
     std::function<void()> afterLookup(std::function<void()> done);
 
     // ------------------------------------------------------------------
-    // Epoch and checkpoint machinery.
+    // Checkpoint machinery.
     // ------------------------------------------------------------------
-    void armEpochTimer();
-    void tryBeginBoundary();
-    void beginBoundary();
-    void afterFlush();
-    void schemeSwitchDecisions();
+    /**
+     * Backup slot of the checkpoint in flight. The next epoch opens at
+     * the end of the flush, so the captured epoch is epoch_num_ - 1 and
+     * it writes slot epoch_num_ & 1.
+     */
+    unsigned ckptParity() const { return epoch_num_ & 1; }
     void promotePage(Addr page_paddr);
     void markDemotions();
-    void startCheckpoint();
     /** Step 1: drain DRAM-buffered block working copies into NVM. */
     void drainBlockBuffers();
     /** Mark idle entries for reclamation; stage A-to-Home migrations. */
@@ -211,7 +190,7 @@ class ThyNvmController : public MemController
     /** Step 4: persist the PTT and the CPU state blob. */
     void persistPttAndCpu();
     /** Step 5: after full NVM drain, write the atomic commit header. */
-    void writeCommitHeader();
+    void writeBackupHeader();
     void commitCheckpoint();
     /** Merge overlay entries of @p page_paddr back into the DRAM page. */
     void mergeOverlays(std::size_t pidx, Addr page_paddr);
@@ -256,7 +235,7 @@ class ThyNvmController : public MemController
     MemDevice nvm_dev_;
     DevicePort dram_port_;
     DevicePort nvm_port_;
-    /** Backup-slot headers: a parity pair indexed by backup_toggle_;
+    /** Backup-slot headers: a parity pair indexed by ckptParity();
      *  aux = logged overflow slots. */
     CommitRecord commit_;
     Btt btt_;
@@ -272,22 +251,8 @@ class ThyNvmController : public MemController
     /** Per-epoch BTT-path store counts aggregated by page. */
     std::unordered_map<Addr, std::uint32_t> page_store_agg_;
 
-    std::uint64_t epoch_ = 1;
-    bool started_ = false;
-    bool halted_ = false;
-    bool ckpt_in_progress_ = false;
-    bool boundary_requested_ = false;
-    bool boundary_in_progress_ = false;
-    unsigned backup_toggle_ = 0;
-    Tick ckpt_start_tick_ = 0;
-    Tick stall_window_start_ = 0;
-    Event epoch_timer_;
-    /** Deferred boundary attempt; coalesces repeated requestEpochEnd(). */
-    Event boundary_event_;
-
-    std::function<void()> resume_client_;
-    std::vector<std::uint8_t> cpu_state_;
-    std::vector<std::uint8_t> recovered_cpu_state_;
+    /** The epoch loop's continuation of the checkpoint in flight. */
+    std::function<void()> ckpt_done_;
 
     // Page writeback engine state.
     std::deque<std::size_t> wb_queue_;
@@ -309,16 +274,6 @@ class ThyNvmController : public MemController
     std::vector<std::uint8_t> overflow_in_last_log_;
     /** Live entries at the time of the current staged log. */
     std::uint64_t overflow_logged_ = 0;
-
-    // Stores stalled on table overflow.
-    struct StalledStore
-    {
-        Addr block_paddr;
-        std::array<std::uint8_t, kBlockSize> data;
-        std::function<void()> done;
-        Tick stalled_at;
-    };
-    std::deque<StalledStore> stalled_stores_;
 
     // Statistics.
     stats::Scalar loads_;

@@ -130,6 +130,9 @@ class CommitRecord
     /** CPU-state area of @p parity. */
     Addr cpuArea(unsigned parity) const { return cpu_areas_[parity]; }
 
+    /** Largest CPU blob an area holds. */
+    std::size_t cpuMax() const { return cpu_max_; }
+
     /** [u64 len][blob], unpadded. */
     static std::vector<std::uint8_t>
     encodeCpuState(const std::vector<std::uint8_t>& state)

@@ -1,20 +1,25 @@
 /**
  * @file
- * Shared machinery for the stop-the-world checkpointing controllers:
- * journaling and shadow paging (paper §5.1), in-cache-line logging and
- * incremental checkpointing.
+ * The epoch loop of every checkpointing controller: ThyNVM (paper
+ * §3-§4) and the journaling, shadow-paging (§5.1), in-cache-line
+ * logging and incremental checkpointing baselines.
  *
- * All four checkpoint with a traditional epoch model (Figure 3a): at
- * each epoch boundary the CPU is paused, volatile state is flushed, the
- * checkpoint is taken to completion, and only then does execution
- * resume. The whole window counts as checkpoint stall time. Each ends
- * its checkpoint with the shared commit record (mem/commit_record.hh),
- * and recovery runs through it here; a backend supplies its record and
- * its data phases.
+ * An epoch boundary runs in two phases (Figure 3). The flush phase
+ * pauses the CPU and drains its volatile state into the controller;
+ * the checkpoint phase makes the closed epoch durable and ends with the
+ * shared commit record (mem/commit_record.hh). Each controller fixes
+ * two points at construction: where the next epoch opens (its number
+ * advances and the epoch timer re-arms) and where the paused CPU
+ * resumes, each either at the end of the flush or at the commit. The
+ * baselines do both at the commit (the stop-the-world model, 3a);
+ * ThyNVM opens the next epoch at the end of the flush and resumes the
+ * CPU there too (the overlapped model, 3b), or at the commit in its
+ * stop-the-world mode. A backend supplies its commit record and its
+ * data phases; recovery runs through the record here.
  */
 
-#ifndef THYNVM_BASELINES_EPOCH_CONTROLLER_HH
-#define THYNVM_BASELINES_EPOCH_CONTROLLER_HH
+#ifndef THYNVM_MEM_EPOCH_CONTROLLER_HH
+#define THYNVM_MEM_EPOCH_CONTROLLER_HH
 
 #include <cstring>
 #include <deque>
@@ -26,14 +31,30 @@
 namespace thynvm {
 
 /**
- * Base class implementing the stop-the-world epoch loop.
+ * Base class implementing the epoch loop: timer, boundary requests,
+ * the flush and checkpoint phases, stall accounting, accesses stalled
+ * until the commit, crash reset and recovery.
  */
 class EpochController : public MemController
 {
   public:
-    EpochController(EventQueue& eq, std::string name, Tick epoch_length)
+    /** A point of the boundary: the end of the flush, or the commit. */
+    enum class At
+    {
+        FlushDone,
+        Commit,
+    };
+
+    /**
+     * @param opens where the next epoch opens.
+     * @param resumes where the paused CPU resumes.
+     */
+    EpochController(EventQueue& eq, std::string name, Tick epoch_length,
+                    At opens, At resumes)
         : MemController(eq, std::move(name)),
           epoch_length_(epoch_length),
+          opens_(opens),
+          resumes_(resumes),
           epoch_timer_([this] { requestEpochEnd(); }),
           boundary_event_([this] { tryBeginBoundary(); })
     {}
@@ -52,7 +73,10 @@ class EpochController : public MemController
         resume_client_ = std::move(cb);
     }
 
-    /** Force an early epoch boundary (e.g., on buffer overflow). */
+    /**
+     * Request an early epoch boundary (on table overflow, or through
+     * the explicit persistence interface, paper §6).
+     */
     void
     requestEpochEnd() override
     {
@@ -60,7 +84,7 @@ class EpochController : public MemController
             return;
         boundary_requested_ = true;
         // Defer: the request may originate mid-way through an access
-        // path; the checkpoint must only start between accesses. A
+        // path; the boundary must only begin between accesses. A
         // pending attempt is necessarily at this tick and covers us.
         if (!boundary_event_.scheduled())
             eventq_.schedule(boundary_event_, curTick());
@@ -68,7 +92,7 @@ class EpochController : public MemController
 
     /**
      * Stop initiating boundaries: cancel the epoch timer and refuse
-     * future requests. An in-flight checkpoint completes normally (its
+     * future requests. A boundary under way completes normally (its
      * events are already scheduled), after which nothing re-arms, so
      * the queue drains once a multi-channel workload has finished.
      */
@@ -78,16 +102,26 @@ class EpochController : public MemController
         halted_ = true;
         if (epoch_timer_.scheduled())
             eventq_.deschedule(epoch_timer_);
-        if (!ckpt_in_progress_)
+        if (!boundaryInProgress())
             boundary_requested_ = false;
     }
 
-    /** True while a stop-the-world checkpoint is running. */
-    bool checkpointInProgress() const { return ckpt_in_progress_; }
+    /** True in the checkpoint phase: from the end of the flush to the
+     *  commit. */
+    bool checkpointInProgress() const { return checkpointing_; }
+
+    /**
+     * The open epoch. A boundary captures it, and it stays current
+     * until the next epoch opens (at the end of the flush or at the
+     * commit).
+     */
+    std::uint64_t currentEpoch() const { return epoch_num_; }
 
     void
     persistCpuState(const std::vector<std::uint8_t>& blob) override
     {
+        fatal_if(blob.size() > commitRecord().cpuMax(),
+                 "CPU state blob exceeds reserved backup space");
         cpu_state_ = blob;
     }
 
@@ -136,6 +170,19 @@ class EpochController : public MemController
     rebuild(const std::optional<CommitRecord::Committed>& committed,
             RecoveryJoin& join) = 0;
 
+    /**
+     * Subclass hook at the end of the flush, before the next epoch
+     * opens or the CPU resumes there: act on what the closing epoch
+     * observed (ThyNVM's scheme switches).
+     */
+    virtual void closeEpoch() {}
+
+    /**
+     * Subclass hook: run the checkpoint phase (all data durable, a
+     * commit point written), then invoke @p done.
+     */
+    virtual void doCheckpoint(std::function<void()> done) = 0;
+
     /** Stage the CPU state into the CPU area of @p epoch's parity. */
     void
     stageCpuState(std::uint64_t epoch)
@@ -151,14 +198,11 @@ class EpochController : public MemController
                                    aux);
     }
 
-    /**
-     * Subclass hook: take a complete checkpoint (all data durable, a
-     * commit point written), then invoke @p done.
-     */
-    virtual void doCheckpoint(std::function<void()> done) = 0;
+    /** True from the boundary's begin to its commit (either phase). */
+    bool boundaryInProgress() const { return flushing_ || checkpointing_; }
 
     /**
-     * Stall an access until the running checkpoint finishes; the access
+     * Stall an access until the running checkpoint commits; the access
      * is replayed through accessBlock afterwards.
      */
     void
@@ -175,6 +219,34 @@ class EpochController : public MemController
         stalled_.push_back(std::move(s));
     }
 
+    /** Reset the epoch machinery after a crash. */
+    void
+    resetEpochState()
+    {
+        started_ = false;
+        halted_ = false;
+        flushing_ = false;
+        checkpointing_ = false;
+        boundary_requested_ = false;
+        stalled_.clear();
+        cpu_state_.clear();
+        if (epoch_timer_.scheduled())
+            eventq_.deschedule(epoch_timer_);
+        if (boundary_event_.scheduled())
+            eventq_.deschedule(boundary_event_);
+    }
+
+    /** The open epoch (currentEpoch()). */
+    std::uint64_t epoch_num_ = 1;
+    /** A boundary was requested and has not begun yet. */
+    bool boundary_requested_ = false;
+    /** The flush phase: from boundary.begin to epoch.flush_done. */
+    bool flushing_ = false;
+    /** Tick of the running boundary's begin. */
+    Tick boundary_start_ = 0;
+    std::vector<std::uint8_t> cpu_state_;
+
+  private:
     void
     armTimer()
     {
@@ -188,39 +260,72 @@ class EpochController : public MemController
     void
     tryBeginBoundary()
     {
-        if (!started_ || !boundary_requested_ || ckpt_in_progress_)
+        if (!started_ || !boundary_requested_ || boundaryInProgress())
             return;
         boundary_requested_ = false;
-        ckpt_in_progress_ = true;
+        flushing_ = true;
         crashPoint("boundary.begin");
-        stall_start_ = curTick();
+        boundary_start_ = curTick();
+        busy_start_ = boundary_start_;
         if (epoch_timer_.scheduled())
             eventq_.deschedule(epoch_timer_);
-        auto run = [this] {
-            crashPoint("epoch.flush_done");
-            doCheckpoint([this] { boundaryDone(); });
-        };
         if (flush_)
-            flush_(run);
+            flush_([this] { flushDone(); });
         else
-            run();
+            flushDone();
     }
 
     void
-    boundaryDone()
+    flushDone()
+    {
+        crashPoint("epoch.flush_done");
+        flushing_ = false;
+        checkpointing_ = true;
+        closeEpoch();
+        if (opens_ == At::FlushDone) {
+            // The checkpoint now runs beside the next epoch; its busy
+            // window starts here.
+            busy_start_ = curTick();
+            openEpoch();
+        }
+        // The CPU resumes before the checkpoint sends anything.
+        if (resumes_ == At::FlushDone)
+            resumeCpu();
+        doCheckpoint([this] { checkpointDone(); });
+    }
+
+    void
+    checkpointDone()
     {
         crashPoint("ckpt.committed");
         ++epochs_;
         noteEpochCommitted();
-        const Tick stalled = curTick() - stall_start_;
-        ckpt_stall_time_ += static_cast<double>(stalled);
-        ckpt_busy_time_ += static_cast<double>(stalled);
-        ckpt_in_progress_ = false;
-        if (resume_client_)
-            resume_client_();
-        armTimer();
+        ckpt_busy_time_ += static_cast<double>(curTick() - busy_start_);
+        checkpointing_ = false;
+        if (resumes_ == At::Commit)
+            resumeCpu();
+        if (opens_ == At::Commit)
+            openEpoch();
         replayStalled();
         tryBeginBoundary();
+    }
+
+    void
+    openEpoch()
+    {
+        ++epoch_num_;
+        armTimer();
+    }
+
+    /** Resume the CPU; its whole pause since the boundary's begin was
+     *  checkpoint stall. */
+    void
+    resumeCpu()
+    {
+        ckpt_stall_time_ +=
+            static_cast<double>(curTick() - boundary_start_);
+        if (resume_client_)
+            resume_client_();
     }
 
     void
@@ -240,38 +345,21 @@ class EpochController : public MemController
         replaying_app_ = false;
     }
 
-    /** Reset the epoch machinery after a crash. */
-    void
-    resetEpochState()
-    {
-        started_ = false;
-        halted_ = false;
-        ckpt_in_progress_ = false;
-        boundary_requested_ = false;
-        stalled_.clear();
-        cpu_state_.clear();
-        if (epoch_timer_.scheduled())
-            eventq_.deschedule(epoch_timer_);
-        if (boundary_event_.scheduled())
-            eventq_.deschedule(boundary_event_);
-    }
-
     Tick epoch_length_;
-    /** The epoch running now; its checkpoint commits this number. */
-    std::uint64_t epoch_num_ = 1;
+    At opens_;
+    At resumes_;
     bool started_ = false;
     bool halted_ = false;
-    bool ckpt_in_progress_ = false;
-    bool boundary_requested_ = false;
-    Tick stall_start_ = 0;
+    /** The checkpoint phase: from epoch.flush_done to ckpt.committed. */
+    bool checkpointing_ = false;
+    /** Start of the running checkpoint's ckpt_busy_time window. */
+    Tick busy_start_ = 0;
     Event epoch_timer_;
     /** Deferred boundary attempt; coalesces repeated requestEpochEnd(). */
     Event boundary_event_;
     std::function<void()> resume_client_;
-    std::vector<std::uint8_t> cpu_state_;
     std::vector<std::uint8_t> recovered_cpu_state_;
 
-  private:
     struct Stalled
     {
         Addr paddr;
@@ -285,4 +373,4 @@ class EpochController : public MemController
 
 } // namespace thynvm
 
-#endif // THYNVM_BASELINES_EPOCH_CONTROLLER_HH
+#endif // THYNVM_MEM_EPOCH_CONTROLLER_HH

@@ -9,9 +9,9 @@
 
 #include <string>
 
-#include "baselines/epoch_controller.hh"
 #include "fuzz/fuzzer.hh"
 #include "harness/system.hh"
+#include "mem/epoch_controller.hh"
 #include "workloads/kvstore.hh"
 #include "workloads/micro.hh"
 #include "workloads/spec.hh"
@@ -129,11 +129,8 @@ TEST(SystemTest, CheckpointingSystemsCompleteEpochs)
 bool
 checkpointInProgress(MemController& ctrl)
 {
-    if (auto* e = dynamic_cast<EpochController*>(&ctrl))
-        return e->checkpointInProgress();
-    if (auto* t = dynamic_cast<ThyNvmController*>(&ctrl))
-        return t->checkpointInProgress();
-    return false;
+    auto* e = dynamic_cast<EpochController*>(&ctrl);
+    return e != nullptr && e->checkpointInProgress();
 }
 
 /**
