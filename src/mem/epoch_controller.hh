@@ -288,7 +288,8 @@ class EpochController : public MemController
             busy_start_ = curTick();
             openEpoch();
         }
-        // The CPU resumes before the checkpoint sends anything.
+        // Resume before the checkpoint sends anything: events that land
+        // on one tick run in the order they were scheduled.
         if (resumes_ == At::FlushDone)
             resumeCpu();
         doCheckpoint([this] { checkpointDone(); });
