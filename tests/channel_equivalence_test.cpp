@@ -211,6 +211,30 @@ TEST(ChannelEquivalence, SingleChannelMatchesPreChangeGoldens)
 }
 
 /**
+ * The 1-channel micro goldens above run 1 ms epochs and commit none,
+ * so the epoch loop itself is pinned at one channel here: micro with
+ * 100 us epochs on the five checkpointing kinds, each committing at
+ * least three epochs.
+ */
+TEST(ChannelEquivalence, SingleChannelShortEpochsMatchGoldens)
+{
+    for (SystemKind kind : allKinds()) {
+        if (!isCheckpointingKind(kind))
+            continue;
+        SystemConfig cfg = smallConfig(kind);
+        cfg.epoch_length = 100 * kMicrosecond;
+        const RunResult r = runOne(Family::MicroRandom, cfg);
+        const std::string key = "\nsys.ctrl.epochs ";
+        const std::size_t at = r.stats.find(key);
+        ASSERT_NE(at, std::string::npos) << kindToken(kind);
+        EXPECT_GE(std::stoull(r.stats.substr(at + key.size())), 3u)
+            << kindToken(kind);
+        expectMatchesGolden(
+            r, goldenPath(Family::MicroRandom, kind, 1, "_e100us"));
+    }
+}
+
+/**
  * ThyNVM's stop-the-world mode (Figure 3a: the CPU waits for the
  * commit, not only for the flush) is pinned where its output differs
  * from the overlapped goldens: spec at 1, 2 and 4 channels and micro
