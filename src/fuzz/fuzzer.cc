@@ -42,8 +42,7 @@ RecordingWorkload::restore(const std::vector<std::uint8_t>& blob)
 }
 
 void
-applyStores(std::vector<std::uint8_t>& image,
-            const std::vector<StoreRecord>& stores,
+applyStores(PagedBytes& image, const std::vector<StoreRecord>& stores,
             std::uint64_t op_limit)
 {
     for (const StoreRecord& s : stores) {
@@ -51,7 +50,7 @@ applyStores(std::vector<std::uint8_t>& image,
             break;
         panic_if(s.addr + s.size > image.size(),
                  "golden store out of range");
-        std::memcpy(image.data() + s.addr, s.data.data(), s.size);
+        image.write(s.addr, s.data.data(), s.size);
     }
 }
 
@@ -185,34 +184,20 @@ makeSystemConfig(const FuzzerConfig& fc, SystemKind kind, bool fast_path,
 // One crash case.
 // ---------------------------------------------------------------------
 
-std::vector<std::uint8_t>
+PagedBytes
 captureImage(System& sys, std::size_t phys_size)
 {
-    std::vector<std::uint8_t> img(phys_size, 0);
+    PagedBytes img(phys_size);
     FunctionalView view = sys.functionalView();
+    std::uint8_t buf[kPageSize];
     for (Addr page : sys.touchedPhysPages()) {
         const std::size_t len =
             std::min<std::size_t>(kPageSize, phys_size - page);
-        view(page, img.data() + page, len);
+        view(page, buf, len);
+        img.write(page, buf, len);
     }
     return img;
 }
-
-namespace {
-
-/** First differing offset of two equal-sized images, or npos. */
-std::size_t
-firstMismatch(const std::vector<std::uint8_t>& a,
-              const std::vector<std::uint8_t>& b)
-{
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i] != b[i])
-            return i;
-    }
-    return static_cast<std::size_t>(-1);
-}
-
-} // namespace
 
 CaseResult
 runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
@@ -230,7 +215,7 @@ runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
     cfg.crash_points = &reg;
     System sys(cfg, wl1);
     sys.start();
-    const std::vector<std::uint8_t> base = captureImage(sys, fc.phys_size);
+    const PagedBytes base = captureImage(sys, fc.phys_size);
     sys.run(fc.run_limit, [&reg] { return reg.fired(); });
     // A multi-channel plan whose crash tick lies past the run limit is
     // also unreached.
@@ -287,11 +272,13 @@ runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
     }
 
     // Check A: recovered image == golden image of the restored epoch.
-    std::vector<std::uint8_t> golden = base;
+    // The golden is a COW copy of the base: only the pages the stores
+    // touch are privatized, and the compare skips the shared rest.
+    PagedBytes golden = base;
     applyStores(golden, wl1.stores(), restored);
     res.recovered_image = captureImage(sys2, fc.phys_size);
-    if (res.recovered_image != golden) {
-        const std::size_t off = firstMismatch(res.recovered_image, golden);
+    if (const std::size_t off = res.recovered_image.firstDifference(golden);
+        off != PagedBytes::npos) {
         std::ostringstream os;
         os << "recovered image diverges from the golden epoch image at "
            << "offset 0x" << std::hex << off << std::dec
@@ -312,8 +299,8 @@ runCrashCase(const FuzzerConfig& fc, const FuzzCase& c)
     }
     applyStores(golden, wl2.stores(), ~0ull);
     res.final_image = captureImage(sys2, fc.phys_size);
-    if (res.final_image != golden) {
-        const std::size_t off = firstMismatch(res.final_image, golden);
+    if (const std::size_t off = res.final_image.firstDifference(golden);
+        off != PagedBytes::npos) {
         std::ostringstream os;
         os << "final image after resume diverges from the golden image "
            << "at offset 0x" << std::hex << off << std::dec;
@@ -421,11 +408,19 @@ runCampaign(const FuzzerConfig& fc, const CampaignOptions& opts,
         }
     }
 
-    // Phase 4: run the crash cases, fanned across threads.
+    // Phase 4: run the crash cases, fanned across threads. Images are
+    // only needed by callers replaying a single case, so each case's
+    // are dropped as soon as it ends: the campaign's memory is bounded
+    // by the cases in flight, not by the case count.
     std::vector<CaseResult> case_results(plan.size());
     parallelFor(
         plan.size(),
-        [&](std::size_t i) { case_results[i] = runCrashCase(fc, plan[i]); },
+        [&](std::size_t i) {
+            CaseResult& r = case_results[i];
+            r = runCrashCase(fc, plan[i]);
+            r.recovered_image = PagedBytes();
+            r.final_image = PagedBytes();
+        },
         threads);
 
     // Phase 5: aggregate in plan order, so the summary, the violation
@@ -440,9 +435,6 @@ runCampaign(const FuzzerConfig& fc, const CampaignOptions& opts,
                 *log << "VIOLATION " << r.repro << "\n  " << r.detail
                      << "\n";
             }
-            // Images are only needed by callers replaying a single case.
-            r.recovered_image.clear();
-            r.final_image.clear();
             result.violations.push_back(std::move(r));
         }
     }

@@ -34,6 +34,7 @@
 
 #include "fuzz/crash_points.hh"
 #include "harness/system.hh"
+#include "mem/paged_bytes.hh"
 #include "workloads/micro.hh"
 
 namespace thynvm {
@@ -115,8 +116,12 @@ class RecordingWorkload : public Workload
     mutable std::vector<std::uint64_t> snapshot_counts_;
 };
 
-/** Apply all stores with op_index < @p op_limit to @p image. */
-void applyStores(std::vector<std::uint8_t>& image,
+/**
+ * Apply all stores with op_index < @p op_limit to @p image. Only the
+ * pages they touch are written, so on a COW copy only those are
+ * privatized.
+ */
+void applyStores(PagedBytes& image,
                  const std::vector<StoreRecord>& stores,
                  std::uint64_t op_limit);
 
@@ -188,12 +193,12 @@ SystemConfig makeSystemConfig(const FuzzerConfig& fc, SystemKind kind,
                               bool fast_path, unsigned channels = 0);
 
 /**
- * Read the full physical image through the system's functional view.
- * Only touched pages are pulled (untouched pages read zero by the
- * touched-set contract, and the buffer starts zeroed), so capture cost
- * scales with the workload footprint, not the machine size.
+ * Read the full physical image through the system's functional view
+ * into a sparse store. Only touched pages are pulled and materialized;
+ * every other page reads zero by the touched-set contract, so capture
+ * cost scales with the workload footprint, not the machine size.
  */
-std::vector<std::uint8_t> captureImage(System& sys, std::size_t phys_size);
+PagedBytes captureImage(System& sys, std::size_t phys_size);
 
 enum class CaseStatus
 {
@@ -213,9 +218,9 @@ struct CaseResult
     std::uint64_t commits_before = 0;
     std::uint64_t restored_ops = 0;
     /** Memory image right after recovery (empty if NotReached). */
-    std::vector<std::uint8_t> recovered_image;
+    PagedBytes recovered_image;
     /** Memory image after resumed execution finished. */
-    std::vector<std::uint8_t> final_image;
+    PagedBytes final_image;
 };
 
 /** Run one crash case end to end against the oracle. */
@@ -260,6 +265,8 @@ struct CampaignResult
 {
     std::uint64_t cases = 0;
     std::uint64_t not_reached = 0;
+    /** Violating cases in plan order, without their images (replay
+     *  one with runCrashCase() to get them). */
     std::vector<CaseResult> violations;
     /** Distinct crash-site names reached, per system token. */
     std::map<std::string, std::set<std::string>> sites_by_system;

@@ -219,6 +219,41 @@ class PagedBytes
         }
     }
 
+    /** firstDifference()'s "no difference" result. */
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+    /**
+     * First offset at which this store and @p other (of equal size)
+     * differ, or npos. Pointer-equal pages (COW-shared, or both
+     * untouched) are skipped without a byte compare, and an untouched
+     * page compares as zeros, so the cost is O(pages that differ in
+     * representation). Requires quiescence.
+     */
+    std::size_t
+    firstDifference(const PagedBytes& other) const
+    {
+        panic_if(size_ != other.size_,
+                 "comparing paged stores of sizes %zu and %zu", size_,
+                 other.size_);
+        static const std::uint8_t zeros[kHostPageSize] = {};
+        for (std::size_t pi = 0; pi < numPages(); ++pi) {
+            const Page* a = table_[pi].load(std::memory_order_acquire);
+            const Page* b = other.table_[pi].load(std::memory_order_acquire);
+            if (a == b)
+                continue;
+            const std::uint8_t* x = a != nullptr ? a->bytes : zeros;
+            const std::uint8_t* y = b != nullptr ? b->bytes : zeros;
+            const std::size_t len =
+                std::min(kHostPageSize, size_ - pi * kHostPageSize);
+            if (std::memcmp(x, y, len) == 0)
+                continue;
+            return pi * kHostPageSize +
+                   static_cast<std::size_t>(
+                       std::mismatch(x, x + len, y).first - x);
+        }
+        return npos;
+    }
+
   private:
     struct Page
     {

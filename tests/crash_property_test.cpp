@@ -492,7 +492,7 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
         }
         System sys(cfg, wl1);
         sys.start();
-        const std::vector<std::uint8_t> base = captureImage(sys, fc.phys_size);
+        const PagedBytes base = captureImage(sys, fc.phys_size);
         EventQueue& eq = sys.eventq();
         if (!site.empty() && channels > 1) {
             sys.runTo(profileCrashTick(fc, kind, channels, seed, plan));
@@ -525,8 +525,7 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
         sys2.recoverAndResume();
         const std::uint64_t restored2 =
             wl2.wasRestored() ? wl2.restoredCount() : 0;
-        const std::vector<std::uint8_t> img_a =
-            captureImage(sys2, fc.phys_size);
+        const PagedBytes img_a = captureImage(sys2, fc.phys_size);
         std::shared_ptr<BackingStore> nvm2 = sys2.crash();
 
         // Life 3: recover from the re-crashed image.
@@ -537,12 +536,11 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
         sys3.recoverAndResume();
         const std::uint64_t restored3 =
             wl3.wasRestored() ? wl3.restoredCount() : 0;
-        const std::vector<std::uint8_t> img_b =
-            captureImage(sys3, fc.phys_size);
+        const PagedBytes img_b = captureImage(sys3, fc.phys_size);
 
         EXPECT_EQ(restored2, restored3)
             << "second recovery restored a different epoch boundary";
-        EXPECT_EQ(img_a, img_b)
+        EXPECT_EQ(img_a.firstDifference(img_b), PagedBytes::npos)
             << "recovery is not idempotent under an immediate re-crash";
 
         if (isCheckpointingKind(kind)) {
@@ -556,9 +554,9 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
                     << "restored op count " << restored2
                     << " is not a snapshotted epoch boundary";
             }
-            std::vector<std::uint8_t> golden = base;
+            PagedBytes golden = base;
             applyStores(golden, wl1.stores(), restored2);
-            EXPECT_EQ(img_a, golden)
+            EXPECT_EQ(img_a.firstDifference(golden), PagedBytes::npos)
                 << "recovered image diverges from the golden prefix";
         }
 
@@ -567,9 +565,10 @@ TEST_P(BackendCrashSweepTest, DoubleCrashRecoveryIsIdempotent)
         sys3.run(fc.run_limit);
         ASSERT_TRUE(sys3.finished())
             << "resumed execution stalled after the double crash";
-        std::vector<std::uint8_t> want = img_b;
+        PagedBytes want = img_b;
         applyStores(want, wl3.stores(), ~0ull);
-        EXPECT_EQ(captureImage(sys3, fc.phys_size), want);
+        EXPECT_EQ(captureImage(sys3, fc.phys_size).firstDifference(want),
+                  PagedBytes::npos);
     }
 }
 

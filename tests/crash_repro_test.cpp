@@ -82,8 +82,10 @@ TEST(CrashRepro, ReplayIsDeterministic)
     EXPECT_EQ(a.crash_tick, b.crash_tick);
     EXPECT_EQ(a.commits_before, b.commits_before);
     EXPECT_EQ(a.restored_ops, b.restored_ops);
-    EXPECT_EQ(a.recovered_image, b.recovered_image);
-    EXPECT_EQ(a.final_image, b.final_image);
+    EXPECT_EQ(a.recovered_image.firstDifference(b.recovered_image),
+              PagedBytes::npos);
+    EXPECT_EQ(a.final_image.firstDifference(b.final_image),
+              PagedBytes::npos);
 }
 
 /**
@@ -112,8 +114,12 @@ TEST(CrashRepro, MultiChannelReplayIsDeterministic)
         EXPECT_EQ(a.crash_tick, b.crash_tick) << site;
         EXPECT_EQ(a.commits_before, b.commits_before) << site;
         EXPECT_EQ(a.restored_ops, b.restored_ops) << site;
-        EXPECT_EQ(a.recovered_image, b.recovered_image) << site;
-        EXPECT_EQ(a.final_image, b.final_image) << site;
+        EXPECT_EQ(a.recovered_image.firstDifference(b.recovered_image),
+                  PagedBytes::npos)
+            << site;
+        EXPECT_EQ(a.final_image.firstDifference(b.final_image),
+                  PagedBytes::npos)
+            << site;
     }
 }
 

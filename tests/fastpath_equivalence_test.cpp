@@ -159,9 +159,12 @@ expectCrashEquivalent(SystemKind kind, const std::string& workload)
         EXPECT_EQ(fast.crash_tick, slow.crash_tick) << fast.repro;
         EXPECT_EQ(fast.commits_before, slow.commits_before) << fast.repro;
         EXPECT_EQ(fast.restored_ops, slow.restored_ops) << fast.repro;
-        EXPECT_TRUE(fast.recovered_image == slow.recovered_image)
+        EXPECT_EQ(fast.recovered_image.firstDifference(
+                      slow.recovered_image),
+                  PagedBytes::npos)
             << fast.repro << ": recovered images differ fast vs slow";
-        EXPECT_TRUE(fast.final_image == slow.final_image)
+        EXPECT_EQ(fast.final_image.firstDifference(slow.final_image),
+                  PagedBytes::npos)
             << fast.repro << ": final images differ fast vs slow";
     }
 }

@@ -215,12 +215,18 @@ TEST(HarnessTest, ExplicitPersistenceInterface)
     EXPECT_GE(ctrl.completedEpochs(), 1u);
 }
 
-/** Read the full physical image through the functional view. */
-std::vector<std::uint8_t>
+/**
+ * Read the full physical image through the functional view (every
+ * page, not only the touched ones) into a store the oracle's
+ * applyStores() and firstDifference() take.
+ */
+PagedBytes
 fullImage(System& sys, std::size_t phys_size)
 {
-    std::vector<std::uint8_t> img(phys_size);
-    sys.functionalView()(0, img.data(), img.size());
+    std::vector<std::uint8_t> bytes(phys_size);
+    sys.functionalView()(0, bytes.data(), bytes.size());
+    PagedBytes img(phys_size);
+    img.write(0, bytes.data(), bytes.size());
     return img;
 }
 
@@ -269,7 +275,7 @@ TEST(HarnessTest, DoubleCrashDuringResumedCheckpoint)
         cfg1.crash_points = &reg1;
         System sys1(cfg1, wl1);
         sys1.start();
-        std::vector<std::uint8_t> golden = fullImage(sys1, fc.phys_size);
+        PagedBytes golden = fullImage(sys1, fc.phys_size);
         ASSERT_TRUE(runToCrashPlan(sys1, reg1));
         std::shared_ptr<BackingStore> nvm1 = sys1.crash();
 
@@ -316,14 +322,16 @@ TEST(HarnessTest, DoubleCrashDuringResumedCheckpoint)
 
         fuzz::applyStores(golden, wl1.stores(), r1);
         fuzz::applyStores(golden, wl2.stores(), r2);
-        EXPECT_TRUE(fullImage(sys3, fc.phys_size) == golden)
+        EXPECT_EQ(fullImage(sys3, fc.phys_size).firstDifference(golden),
+                  PagedBytes::npos)
             << "third boot recovered a torn or stale lineage image";
 
         // And the lineage still runs to completion.
         sys3.run(fc.run_limit);
         ASSERT_TRUE(sys3.finished());
         fuzz::applyStores(golden, wl3.stores(), ~0ull);
-        EXPECT_TRUE(fullImage(sys3, fc.phys_size) == golden);
+        EXPECT_EQ(fullImage(sys3, fc.phys_size).firstDifference(golden),
+                  PagedBytes::npos);
     }
 }
 
@@ -383,7 +391,8 @@ TEST(HarnessTest, RecoveryIsIdempotentOnSameStore)
         System sb(plain, wb, std::move(nvm_copy));
         sb.recoverAndResume();
         EXPECT_EQ(wa.restoredCount(), wb.restoredCount());
-        EXPECT_TRUE(fullImage(sb, fc.phys_size) == img_a)
+        EXPECT_EQ(fullImage(sb, fc.phys_size).firstDifference(img_a),
+                  PagedBytes::npos)
             << "independent recoveries of the same store diverge";
         ASSERT_GT(wa.restoredCount(), 0u);
 
@@ -396,7 +405,8 @@ TEST(HarnessTest, RecoveryIsIdempotentOnSameStore)
         System sys3(plain, wc, std::move(nvm2));
         sys3.recoverAndResume();
         EXPECT_EQ(wc.restoredCount(), wa.restoredCount());
-        EXPECT_TRUE(fullImage(sys3, fc.phys_size) == img_a)
+        EXPECT_EQ(fullImage(sys3, fc.phys_size).firstDifference(img_a),
+                  PagedBytes::npos)
             << "re-recovery after a post-recovery crash diverged";
     }
 }

@@ -35,6 +35,26 @@ readAll(const PagedBytes& pb)
     return out;
 }
 
+/** The flat scan firstDifference() must agree with. */
+std::size_t
+flatFirstDifference(const std::vector<std::uint8_t>& a,
+                    const std::vector<std::uint8_t>& b)
+{
+    const auto [x, y] = std::mismatch(a.begin(), a.end(), b.begin());
+    return x == a.end() ? PagedBytes::npos
+                        : static_cast<std::size_t>(x - a.begin());
+}
+
+/** firstDifference() in both directions against the flat model. */
+void
+expectFirstDifference(const PagedBytes& a, const PagedBytes& b,
+                      std::size_t want)
+{
+    EXPECT_EQ(flatFirstDifference(readAll(a), readAll(b)), want);
+    EXPECT_EQ(a.firstDifference(b), want);
+    EXPECT_EQ(b.firstDifference(a), want);
+}
+
 TEST(PagedBytes, UntouchedRangesReadZeroWithoutMaterializing)
 {
     PagedBytes pb(10 * kHostPageSize);
@@ -193,6 +213,59 @@ struct FlatModel
     std::vector<bool> written;
 };
 
+TEST(PagedBytes, FirstDifferenceMatchesFlatScan)
+{
+    const std::uint8_t one = 1;
+
+    // Equal contents, written independently: no page is shared.
+    PagedBytes a(8 * kHostPageSize);
+    PagedBytes b(8 * kHostPageSize);
+    const std::vector<std::uint8_t> data(kHostPageSize + 300, 0x5a);
+    a.write(kHostPageSize - 100, data.data(), data.size());
+    b.write(kHostPageSize - 100, data.data(), data.size());
+    expectFirstDifference(a, b, PagedBytes::npos);
+    expectFirstDifference(PagedBytes(0), PagedBytes(0), PagedBytes::npos);
+
+    // COW-shared pages compare equal; a write to the copy diverges
+    // only the page it privatizes.
+    PagedBytes c(a);
+    expectFirstDifference(a, c, PagedBytes::npos);
+    c.write(5 * kHostPageSize + 7, &one, 1);
+    expectFirstDifference(a, c, 5 * kHostPageSize + 7);
+
+    // A missing page equals a materialized all-zero page.
+    PagedBytes zero(8 * kHostPageSize);
+    const std::vector<std::uint8_t> zeros(kHostPageSize, 0);
+    zero.write(3 * kHostPageSize, zeros.data(), zeros.size());
+    ASSERT_TRUE(zero.touched(3 * kHostPageSize));
+    expectFirstDifference(PagedBytes(8 * kHostPageSize), zero,
+                          PagedBytes::npos);
+
+    // Differences at the first and the last byte of a page.
+    PagedBytes first(zero);
+    first.write(3 * kHostPageSize, &one, 1);
+    expectFirstDifference(zero, first, 3 * kHostPageSize);
+    PagedBytes last(zero);
+    last.write(4 * kHostPageSize - 1, &one, 1);
+    expectFirstDifference(zero, last, 4 * kHostPageSize - 1);
+    // The lower of two differing pages wins.
+    last.write(6 * kHostPageSize, &one, 1);
+    last.write(2 * kHostPageSize + 9, &one, 1);
+    expectFirstDifference(zero, last, 2 * kHostPageSize + 9);
+
+    // A size that is not a page multiple: only the partial last page's
+    // real bytes are compared.
+    const std::size_t odd = 3 * kHostPageSize + 100;
+    PagedBytes p(odd);
+    PagedBytes q(odd);
+    q.write(odd - 1, &one, 1);
+    expectFirstDifference(p, q, odd - 1);
+    p.write(odd - 1, &one, 1);
+    expectFirstDifference(p, q, PagedBytes::npos);
+    q.write(3 * kHostPageSize + 50, &one, 1);
+    expectFirstDifference(p, q, 3 * kHostPageSize + 50);
+}
+
 TEST(PagedBytes, MatchesFlatModelUnderRandomOpsAndCowCopies)
 {
     // Not a page multiple, so the short last page is exercised too.
@@ -312,6 +385,14 @@ TEST(PagedBytes, MatchesFlatModelUnderRandomOpsAndCowCopies)
                 models[i].written.begin(), models[i].written.end(), true));
             ASSERT_LE(stores[i].touchedPageCount(), ever)
                 << "step " << step << " store " << i;
+            // Shared, missing and privatized pages all compare by
+            // content, exactly as a flat scan does.
+            for (std::size_t j = 0; j < i; ++j) {
+                ASSERT_EQ(stores[i].firstDifference(stores[j]),
+                          flatFirstDifference(models[i].bytes,
+                                              models[j].bytes))
+                    << "step " << step << " stores " << i << ", " << j;
+            }
         }
     }
     EXPECT_EQ(stores.size(), 3u);

@@ -141,9 +141,13 @@ void
 expectTouchedCaptureComplete(System& sys, std::size_t phys_size,
                              const std::string& where)
 {
-    std::vector<std::uint8_t> full(phys_size);
-    sys.functionalView()(0, full.data(), full.size());
-    EXPECT_EQ(fuzz::captureImage(sys, phys_size), full) << where;
+    std::vector<std::uint8_t> bytes(phys_size);
+    sys.functionalView()(0, bytes.data(), bytes.size());
+    PagedBytes full(phys_size);
+    full.write(0, bytes.data(), bytes.size());
+    EXPECT_EQ(fuzz::captureImage(sys, phys_size).firstDifference(full),
+              PagedBytes::npos)
+        << where;
 }
 
 /**
