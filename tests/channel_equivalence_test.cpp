@@ -211,26 +211,39 @@ TEST(ChannelEquivalence, SingleChannelMatchesPreChangeGoldens)
 }
 
 /**
- * The 1-channel micro goldens above run 1 ms epochs and commit none,
- * so the epoch loop itself is pinned at one channel here: micro with
- * 100 us epochs on the five checkpointing kinds, each committing at
- * least three epochs.
+ * The 1-channel micro and kv goldens above run 1 ms epochs and commit
+ * none, so the epoch loop itself is pinned at one channel here, on the
+ * five checkpointing kinds, each committing at least three epochs:
+ * micro with 100 us epochs, and kv, whose run ends within ~30 us, with
+ * 5 us epochs (so its checkpoint bursts, Shadow's page copies among
+ * them, pass through the ports).
  */
 TEST(ChannelEquivalence, SingleChannelShortEpochsMatchGoldens)
 {
-    for (SystemKind kind : allKinds()) {
-        if (!isCheckpointingKind(kind))
-            continue;
-        SystemConfig cfg = smallConfig(kind);
-        cfg.epoch_length = 100 * kMicrosecond;
-        const RunResult r = runOne(Family::MicroRandom, cfg);
-        const std::string key = "\nsys.ctrl.epochs ";
-        const std::size_t at = r.stats.find(key);
-        ASSERT_NE(at, std::string::npos) << kindToken(kind);
-        EXPECT_GE(std::stoull(r.stats.substr(at + key.size())), 3u)
-            << kindToken(kind);
-        expectMatchesGolden(
-            r, goldenPath(Family::MicroRandom, kind, 1, "_e100us"));
+    struct ShortEpochs
+    {
+        Family family;
+        Tick epoch;
+        const char* variant;
+    };
+    for (const ShortEpochs& s :
+         {ShortEpochs{Family::MicroRandom, 100 * kMicrosecond, "_e100us"},
+          ShortEpochs{Family::KvHash, 5 * kMicrosecond, "_e5us"}}) {
+        for (SystemKind kind : allKinds()) {
+            if (!isCheckpointingKind(kind))
+                continue;
+            SystemConfig cfg = smallConfig(kind);
+            cfg.epoch_length = s.epoch;
+            const RunResult r = runOne(s.family, cfg);
+            const std::string key = "\nsys.ctrl.epochs ";
+            const std::size_t at = r.stats.find(key);
+            ASSERT_NE(at, std::string::npos)
+                << familyToken(s.family) << " " << kindToken(kind);
+            EXPECT_GE(std::stoull(r.stats.substr(at + key.size())), 3u)
+                << familyToken(s.family) << " " << kindToken(kind);
+            expectMatchesGolden(r,
+                                goldenPath(s.family, kind, 1, s.variant));
+        }
     }
 }
 
