@@ -11,8 +11,6 @@
 namespace thynvm {
 namespace detail {
 
-bool quiet = false;
-
 std::string
 vformat(const char* fmt, std::va_list args)
 {
@@ -55,26 +53,6 @@ fatalImpl(const char* file, int line, const std::string& msg)
     throw FatalError(full);
 }
 
-void
-warnImpl(const std::string& msg)
-{
-    if (!quiet)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string& msg)
-{
-    if (!quiet)
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
 } // namespace detail
-
-void
-setQuietLogging(bool quiet)
-{
-    detail::quiet = quiet;
-}
 
 } // namespace thynvm

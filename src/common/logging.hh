@@ -5,8 +5,6 @@
  * panic()  — an internal invariant was violated: a simulator bug. Aborts.
  * fatal()  — the simulation cannot continue due to a user/configuration
  *            error. Exits with an error code.
- * warn()   — something may not behave as the user expects.
- * inform() — normal operating status for the user.
  */
 
 #ifndef THYNVM_COMMON_LOGGING_HH
@@ -43,16 +41,8 @@ std::string format(const char* fmt, ...)
 
 [[noreturn]] void panicImpl(const char* file, int line, const std::string&);
 [[noreturn]] void fatalImpl(const char* file, int line, const std::string&);
-void warnImpl(const std::string& msg);
-void informImpl(const std::string& msg);
-
-/** When true, warn()/inform() output is suppressed (used by tests). */
-extern bool quiet;
 
 } // namespace detail
-
-/** Suppress or re-enable warn()/inform() output. */
-void setQuietLogging(bool quiet);
 
 } // namespace thynvm
 
@@ -65,14 +55,6 @@ void setQuietLogging(bool quiet);
 #define fatal(...) \
     ::thynvm::detail::fatalImpl(__FILE__, __LINE__, \
                                 ::thynvm::detail::format(__VA_ARGS__))
-
-/** Report a suspicious condition; the simulation continues. */
-#define warn(...) \
-    ::thynvm::detail::warnImpl(::thynvm::detail::format(__VA_ARGS__))
-
-/** Report normal status to the user. */
-#define inform(...) \
-    ::thynvm::detail::informImpl(::thynvm::detail::format(__VA_ARGS__))
 
 /** panic() unless @p cond holds. */
 #define panic_if(cond, ...) \

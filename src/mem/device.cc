@@ -394,12 +394,6 @@ MemDevice::totalWriteBytes() const
     return total;
 }
 
-std::uint64_t
-MemDevice::totalReadBytes() const
-{
-    return static_cast<std::uint64_t>(read_bytes_.value());
-}
-
 std::uint32_t
 MemDevice::pickNext(int dir)
 {

@@ -203,8 +203,6 @@ class MemDevice : public SimObject
     std::uint64_t writeBytes(TrafficSource s) const;
     /** Total bytes written across all sources. */
     std::uint64_t totalWriteBytes() const;
-    /** Total bytes read. */
-    std::uint64_t totalReadBytes() const;
 
   private:
     /** Slot-index sentinel for "no slot" / list end. */

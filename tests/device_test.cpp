@@ -6,6 +6,12 @@
 
 #include "tests/test_util.hh"
 
+#include <deque>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "mem/port.hh"
 
 namespace thynvm {
@@ -462,6 +468,270 @@ TEST(DeviceTest, VolatileDeviceCrashZeroesStoreAndLogsNothing)
     EXPECT_EQ(dev.store().touchedPageCount(), 0u);
     for (unsigned i = 0; i < 8 + kSent; ++i)
         EXPECT_EQ(storeBlock(dev, i * kBlockSize), kZeros);
+}
+
+/**
+ * Reference for the run-length port: the same staging with one FIFO
+ * item per send, so every send is issued on its own.
+ */
+class PerSendPort
+{
+  public:
+    explicit PerSendPort(MemDevice& dev) : dev_(dev)
+    {
+        dev_.setAcceptHook(false, [this] {
+            blocked_[0] = false;
+            tryIssue(false);
+        });
+        dev_.setAcceptHook(true, [this] {
+            blocked_[1] = false;
+            tryIssue(true);
+        });
+    }
+
+    void
+    sendRead(Addr addr, TrafficSource source,
+             std::function<void()> on_complete = {})
+    {
+        fifo_[0].push_back(Item{addr, source, std::move(on_complete), {}});
+        tryIssue(false);
+    }
+
+    void
+    sendWrite(Addr addr, const std::uint8_t* data, TrafficSource source,
+              std::function<void()> on_complete = {},
+              std::function<void()> on_accept = {})
+    {
+        dev_.stageWrite(addr, data);
+        fifo_[1].push_back(Item{addr, source, std::move(on_complete),
+                                std::move(on_accept)});
+        tryIssue(true);
+    }
+
+  private:
+    struct Item
+    {
+        Addr addr;
+        TrafficSource source;
+        std::function<void()> on_complete;
+        std::function<void()> on_accept;
+    };
+
+    void
+    tryIssue(bool is_write)
+    {
+        auto& fifo = fifo_[is_write];
+        while (!blocked_[is_write] && !fifo.empty()) {
+            if (!dev_.canAccept(is_write)) {
+                blocked_[is_write] = true;
+                dev_.armAcceptHook(is_write);
+                return;
+            }
+            Item item = std::move(fifo.front());
+            fifo.pop_front();
+            bool ok = is_write
+                          ? dev_.enqueueStagedWrite(item.addr, item.source,
+                                                    std::move(item.on_complete))
+                          : dev_.enqueueRead(item.addr, item.source,
+                                             std::move(item.on_complete));
+            ASSERT_TRUE(ok);
+            if (item.on_accept)
+                item.on_accept();
+        }
+    }
+
+    MemDevice& dev_;
+    std::deque<Item> fifo_[2];
+    bool blocked_[2] = {false, false};
+};
+
+/** What one side of the run-length comparison observed. */
+struct PortTrace
+{
+    /** Each callback's id and tick, in firing order. */
+    std::vector<std::pair<std::string, Tick>> callbacks;
+    std::string stats;
+    Tick final_tick = 0;
+};
+
+/**
+ * Drive a scripted mix of sends through @p Port into a small NVM device
+ * and record every callback, the device's stats and the final tick.
+ * The device itself checks the write address stream: each enqueued
+ * write must be the oldest staged one. On the run-length port the
+ * script's last sends join a partly issued front item.
+ */
+template <typename Port>
+PortTrace
+runPortScript()
+{
+    EventQueue eq;
+    auto p = smallNvm();
+    p.read_queue_capacity = 2;
+    p.write_queue_capacity = 4;
+    p.write_drain_high = 3;
+    p.write_drain_low = 1;
+    MemDevice dev(eq, "dev", p);
+    Port port(dev);
+    PortTrace t;
+    auto cb = [&](const char* id) {
+        return [&t, &eq, id] {
+            t.callbacks.emplace_back(id, eq.now());
+        };
+    };
+    constexpr auto kCkpt = TrafficSource::Checkpoint;
+    constexpr auto kMig = TrafficSource::Migration;
+    constexpr auto kDemand = TrafficSource::DemandRead;
+    auto write = [&](unsigned blk, TrafficSource src,
+                     std::function<void()> on_complete = {},
+                     std::function<void()> on_accept = {}) {
+        const auto data = patternBlock(blk);
+        port.sendWrite(Addr(blk) * kBlockSize, data.data(), src,
+                       std::move(on_complete), std::move(on_accept));
+    };
+    auto read = [&](unsigned blk, TrafficSource src,
+                    std::function<void()> on_complete = {}) {
+        port.sendRead(Addr(blk) * kBlockSize, src, std::move(on_complete));
+    };
+
+    // A contiguous run, a callback send mid-run, the run going on, a
+    // source change and back, address gaps, a one-block gap and a
+    // repeat of a run's last block. Reads cross a row (128 blocks), so
+    // a misplaced block moves the row-hit counts.
+    for (unsigned b = 0; b < 16; ++b)
+        write(b, kCkpt);
+    write(16, kCkpt, cb("w16.done"));
+    for (unsigned b = 17; b < 24; ++b)
+        write(b, kCkpt);
+    for (unsigned b = 24; b < 28; ++b)
+        write(b, kMig);
+    for (unsigned b = 28; b < 32; ++b)
+        write(b, kCkpt);
+    for (unsigned b = 40; b < 48; ++b)
+        write(b, kCkpt);
+    write(47, kCkpt);
+    write(49, kCkpt);
+    write(50, kCkpt, {}, cb("w50.accept"));
+    write(51, kCkpt, cb("w51.done"), cb("w51.accept"));
+    for (unsigned b = 120; b < 136; ++b)
+        read(b, kMig);
+    read(136, kMig, cb("r136.done"));
+    for (unsigned b = 137; b < 141; ++b)
+        read(b, kMig);
+    for (unsigned b = 141; b < 145; ++b)
+        read(b, kDemand);
+    for (unsigned b = 150; b < 154; ++b)
+        read(b, kMig);
+    read(153, kMig);
+    read(155, kMig);
+    read(156, kMig, cb("r156.done"));
+    eq.run();
+
+    // A fresh run per direction, partly issued when it is extended.
+    const Tick t0 = eq.now();
+    for (unsigned b = 300; b < 332; ++b)
+        write(b, kCkpt);
+    for (unsigned b = 400; b < 432; ++b)
+        read(b, kCkpt);
+    eq.run(t0 + 300 * kNanosecond);
+    EXPECT_GT(dev.stagedWrites(), 0u);  // the write run is still staged
+    EXPECT_LT(dev.stagedWrites(), 32u); // ... and partly issued
+    for (unsigned b = 332; b < 340; ++b)
+        write(b, kCkpt);
+    for (unsigned b = 432; b < 440; ++b)
+        read(b, kCkpt);
+    write(340, kCkpt, cb("w340.done"));
+    read(440, kCkpt, cb("r440.done"));
+    t.final_tick = eq.run();
+
+    std::ostringstream os;
+    dev.stats().dump(os);
+    t.stats = os.str();
+    return t;
+}
+
+TEST(PortTest, RunItemsGiveTheDeviceThePerSendStream)
+{
+    const PortTrace runs = runPortScript<DevicePort>();
+    const PortTrace sends = runPortScript<PerSendPort>();
+    EXPECT_EQ(runs.callbacks, sends.callbacks);
+    EXPECT_EQ(runs.stats, sends.stats);
+    EXPECT_EQ(runs.final_tick, sends.final_tick);
+    EXPECT_EQ(runs.callbacks.size(), 8u);
+}
+
+TEST(PortTest, PendingWritesCountsBlocks)
+{
+    EventQueue eq;
+    MemDevice dev(eq, "dev", oneDeepNvm());
+    DevicePort port(dev);
+    for (unsigned b = 0; b < 8; ++b)
+        port.sendWrite(b * kBlockSize, kZeros.data(),
+                       TrafficSource::Checkpoint);
+    EXPECT_EQ(port.pendingWrites(), 7u); // one accepted, a run of seven
+    bool done = false;
+    port.sendWrite(8 * kBlockSize, kZeros.data(), TrafficSource::Checkpoint,
+                   [&] { done = true; });
+    port.sendWrite(20 * kBlockSize, kZeros.data(),
+                   TrafficSource::Checkpoint);
+    EXPECT_EQ(port.pendingWrites(), 9u);
+    std::size_t last = port.pendingWrites();
+    eq.runUntil([&] {
+        EXPECT_EQ(port.pendingWrites(), dev.stagedWrites());
+        EXPECT_LE(port.pendingWrites(), last);
+        EXPECT_GE(port.pendingWrites() + 1, last); // one block at a time
+        last = port.pendingWrites();
+        return last == 0;
+    });
+    eq.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(dev.totalWriteBytes(), 10 * kBlockSize);
+}
+
+TEST(PortTest, CrashMidRunRollsBackExactlyTheUnservicedBlocks)
+{
+    EventQueue eq;
+    auto p = smallNvm();
+    p.banks = 1; // one row, one bank: writes service in send order
+    p.write_queue_capacity = 4;
+    p.write_drain_high = 3;
+    p.write_drain_low = 1;
+    MemDevice dev(eq, "dev", p);
+    DevicePort port(dev);
+    constexpr unsigned kBlocks = 16;
+    for (unsigned b = 0; b < kBlocks; ++b) {
+        const auto old_data = patternBlock(500 + b);
+        port.sendWrite(b * kBlockSize, old_data.data(),
+                       TrafficSource::CpuWriteback);
+    }
+    eq.run();
+    const std::uint64_t base = dev.totalWriteBytes() / kBlockSize;
+    ASSERT_EQ(base, kBlocks);
+
+    // One callback-free run; crash once some of it is serviced, some
+    // accepted but not serviced, and the rest still staged in the port.
+    for (unsigned b = 0; b < kBlocks; ++b) {
+        const auto new_data = patternBlock(600 + b);
+        port.sendWrite(b * kBlockSize, new_data.data(),
+                       TrafficSource::Checkpoint);
+    }
+    auto serviced = [&] { return dev.totalWriteBytes() / kBlockSize - base; };
+    eq.runUntil([&] { return serviced() >= 5; });
+    const std::uint64_t done = serviced();
+    ASSERT_GT(port.pendingWrites(), 0u);
+    ASSERT_EQ(dev.stagedWrites(), port.pendingWrites());
+    ASSERT_LT(done + port.pendingWrites(), kBlocks); // some queued only
+    EXPECT_EQ(dev.liveUndoEntries(), kBlocks - done);
+
+    port.crash();
+    dev.crash();
+    EXPECT_EQ(port.pendingWrites(), 0u);
+    EXPECT_EQ(dev.stagedWrites(), 0u);
+    for (unsigned b = 0; b < kBlocks; ++b) {
+        EXPECT_EQ(storeBlock(dev, b * kBlockSize),
+                  patternBlock(b < done ? 600 + b : 500 + b))
+            << "block " << b << ", " << done << " serviced";
+    }
 }
 
 } // namespace
