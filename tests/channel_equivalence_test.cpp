@@ -248,6 +248,34 @@ TEST(ChannelEquivalence, SingleChannelShortEpochsMatchGoldens)
 }
 
 /**
+ * The 2- and 4-channel kv goldens above end before their first 100 us
+ * boundary, so the coordinated epoch loop under kv is pinned here: the
+ * five checkpointing kinds at 2 and 4 channels with 5 us epochs, each
+ * committing at least three epochs through the group.
+ */
+TEST(ChannelEquivalence, MultiChannelKvShortEpochsMatchGoldens)
+{
+    for (unsigned channels : {2u, 4u}) {
+        for (SystemKind kind : allKinds()) {
+            if (!isCheckpointingKind(kind))
+                continue;
+            SystemConfig cfg = smallConfig(kind);
+            cfg.channels = channels;
+            cfg.epoch_length = 5 * kMicrosecond;
+            const RunResult r = runOne(Family::KvHash, cfg);
+            const std::string key = "\nsys.ctrl.epochs ";
+            const std::size_t at = r.stats.find(key);
+            ASSERT_NE(at, std::string::npos)
+                << kindToken(kind) << " channels=" << channels;
+            EXPECT_GE(std::stoull(r.stats.substr(at + key.size())), 3u)
+                << kindToken(kind) << " channels=" << channels;
+            expectMatchesGolden(
+                r, goldenPath(Family::KvHash, kind, channels, "_e5us"));
+        }
+    }
+}
+
+/**
  * ThyNVM's stop-the-world mode (Figure 3a: the CPU waits for the
  * commit, not only for the flush) is pinned where its output differs
  * from the overlapped goldens: spec at 1, 2 and 4 channels and micro
