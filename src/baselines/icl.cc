@@ -46,8 +46,8 @@ IclController::nvmCapacity(const IclConfig& cfg)
 IclController::IclController(EventQueue& eq, std::string name,
                              const IclConfig& cfg,
                              std::shared_ptr<BackingStore> nvm_store)
-    : EpochController(eq, std::move(name), cfg.epoch_length,
-                      At::Commit, At::Commit),
+    : EpochController(eq, std::move(name), cfg.phys_size,
+                      cfg.epoch_length, At::Commit, At::Commit),
       cfg_(cfg),
       nvm_dev_(eq, this->name() + ".nvm",
                DeviceParams::nvm(nvmCapacity(cfg)), std::move(nvm_store)),
@@ -77,9 +77,7 @@ IclController::accessBlock(Addr paddr, bool is_write,
                            const std::uint8_t* wdata, std::uint8_t* rdata,
                            TrafficSource source, std::function<void()> done)
 {
-    panic_if(paddr % kBlockSize != 0, "unaligned controller access");
-    panic_if(paddr + kBlockSize > cfg_.phys_size,
-             "physical address out of range");
+    checkBlockAccess(paddr);
 
     if (!is_write) {
         nvm_port_.functionalRead(homeAddr(paddr), rdata, kBlockSize);
@@ -180,23 +178,9 @@ IclController::accessBlock(Addr paddr, bool is_write,
 }
 
 void
-IclController::functionalRead(Addr paddr, void* buf, std::size_t len) const
+IclController::readVisibleBlock(Addr block, std::uint8_t* out) const
 {
-    auto* out = static_cast<std::uint8_t*>(buf);
-    std::size_t remaining = len;
-    Addr addr = paddr;
-    while (remaining > 0) {
-        const Addr block = blockAlign(addr);
-        const std::size_t in_block = addr - block;
-        const std::size_t chunk =
-            std::min(remaining, kBlockSize - in_block);
-        std::uint8_t tmp[kBlockSize];
-        nvm_port_.functionalRead(homeAddr(block), tmp, kBlockSize);
-        std::memcpy(out, tmp + in_block, chunk);
-        out += chunk;
-        addr += chunk;
-        remaining -= chunk;
-    }
+    nvm_port_.functionalRead(homeAddr(block), out, kBlockSize);
 }
 
 void
@@ -204,18 +188,10 @@ IclController::loadImage(Addr paddr, const void* buf, std::size_t len)
 {
     panic_if(paddr + len > cfg_.phys_size, "image beyond physical space");
     const auto* src = static_cast<const std::uint8_t*>(buf);
-    std::size_t remaining = len;
-    Addr addr = paddr;
-    while (remaining > 0) {
-        const Addr block = blockAlign(addr);
-        const std::size_t in_block = addr - block;
-        const std::size_t chunk =
-            std::min(remaining, kBlockSize - in_block);
-        nvm_dev_.store().write(homeAddr(block) + in_block, src, chunk);
-        src += chunk;
-        addr += chunk;
-        remaining -= chunk;
-    }
+    forEachBlockChunk(paddr, len, [&](const BlockChunk& c, std::size_t done) {
+        nvm_dev_.store().write(homeAddr(c.block) + c.offset, src + done,
+                               c.len);
+    });
 }
 
 void

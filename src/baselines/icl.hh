@@ -66,41 +66,21 @@ class IclController : public EpochController
      */
     static std::size_t nvmCapacity(const IclConfig& cfg);
 
-    std::size_t physCapacity() const override { return cfg_.phys_size; }
     void accessBlock(Addr paddr, bool is_write, const std::uint8_t* wdata,
                      std::uint8_t* rdata, TrafficSource source,
                      std::function<void()> done) override;
-
-    /**
-     * Never fast: every access travels the NVM device queues (reads
-     * from home, writes as log+home traffic), so the issue tick is
-     * timing-visible.
-     */
-    Tick
-    tryAccessFast(Addr, bool, const std::uint8_t*, std::uint8_t*,
-                  TrafficSource) final
-    {
-        return kNoFastPath;
-    }
-
-    void functionalRead(Addr paddr, void* buf,
-                        std::size_t len) const override;
     void forEachTouchedPhysRange(
         const std::function<void(Addr, std::size_t)>& fn) const override;
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
     void crash() override;
 
     /** NVM device (home lines + embedded logs + header + CPU areas). */
-    MemDevice& nvm() { return nvm_dev_; }
     MemDevice* nvmDevice() override { return &nvm_dev_; }
-    std::shared_ptr<BackingStore> nvmStoreHandle() override
-    {
-        return nvm_dev_.storeHandle();
-    }
     /** Lines with a live (current-epoch) log record. */
     std::size_t liveLogLines() const { return live_.size(); }
 
   protected:
+    void readVisibleBlock(Addr block, std::uint8_t* out) const override;
     void doCheckpoint(std::function<void()> done) override;
     const CommitRecord& commitRecord() const override { return commit_; }
     /**

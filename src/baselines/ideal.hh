@@ -12,8 +12,6 @@
 #ifndef THYNVM_BASELINES_IDEAL_HH
 #define THYNVM_BASELINES_IDEAL_HH
 
-#include <algorithm>
-#include <cstring>
 #include <memory>
 
 #include "mem/controller.hh"
@@ -37,8 +35,7 @@ class IdealController : public MemController
     IdealController(EventQueue& eq, std::string name,
                     std::size_t phys_size, bool is_dram,
                     std::shared_ptr<BackingStore> store = nullptr)
-        : MemController(eq, std::move(name)),
-          phys_size_(phys_size),
+        : MemController(eq, std::move(name), phys_size),
           is_dram_(is_dram),
           dev_(eq, this->name() + (is_dram ? ".dram" : ".nvm"),
                is_dram ? DeviceParams::dram(phys_size)
@@ -57,16 +54,12 @@ class IdealController : public MemController
         return phys_size;
     }
 
-    std::size_t physCapacity() const override { return phys_size_; }
-
     void
     accessBlock(Addr paddr, bool is_write, const std::uint8_t* wdata,
                 std::uint8_t* rdata, TrafficSource source,
                 std::function<void()> done) override
     {
-        panic_if(paddr % kBlockSize != 0, "unaligned controller access");
-        panic_if(paddr + kBlockSize > phys_size_,
-                 "physical address out of range");
+        checkBlockAccess(paddr);
         if (is_write) {
             noteAppWrite();
             port_.sendWrite(paddr, wdata, source, {}, std::move(done));
@@ -76,43 +69,11 @@ class IdealController : public MemController
         }
     }
 
-    /**
-     * Never fast: even the ideal controller models device timing, so
-     * every access enqueues into the device's bank queues and the
-     * enqueue tick is timing-visible.
-     */
-    Tick
-    tryAccessFast(Addr, bool, const std::uint8_t*, std::uint8_t*,
-                  TrafficSource) final
-    {
-        return kNoFastPath;
-    }
-
-    void
-    functionalRead(Addr paddr, void* buf, std::size_t len) const override
-    {
-        panic_if(paddr + len > phys_size_, "functional read out of range");
-        auto* out = static_cast<std::uint8_t*>(buf);
-        std::size_t remaining = len;
-        Addr addr = paddr;
-        while (remaining > 0) {
-            const Addr block = blockAlign(addr);
-            const std::size_t in_block = addr - block;
-            const std::size_t chunk =
-                std::min(remaining, kBlockSize - in_block);
-            std::uint8_t tmp[kBlockSize];
-            port_.functionalRead(block, tmp, kBlockSize);
-            std::memcpy(out, tmp + in_block, chunk);
-            out += chunk;
-            addr += chunk;
-            remaining -= chunk;
-        }
-    }
-
     void
     loadImage(Addr paddr, const void* buf, std::size_t len) override
     {
-        panic_if(paddr + len > phys_size_, "image beyond physical space");
+        panic_if(paddr + len > physCapacity(),
+                 "image beyond physical space");
         dev_.store().write(paddr, buf, len);
     }
 
@@ -122,11 +83,7 @@ class IdealController : public MemController
     {
         // The flat space maps identity onto the device, whose store
         // already holds staged port writes.
-        dev_.store().forEachTouchedRange(
-            [&](Addr a, const std::uint8_t*, std::size_t len) {
-                if (a < phys_size_)
-                    fn(a, std::min(len, phys_size_ - a));
-            });
+        forEachTouchedCopyRange(dev_, 1, fn);
     }
 
     void
@@ -147,18 +104,22 @@ class IdealController : public MemController
         eventq_.scheduleIn(0, std::move(done));
     }
 
-    /** The single backing device. */
-    MemDevice& device() { return dev_; }
-
     MemDevice* nvmDevice() override { return is_dram_ ? nullptr : &dev_; }
     MemDevice* dramDevice() override { return is_dram_ ? &dev_ : nullptr; }
+    /** Ideal DRAM too: its contents survive a crash (crash() above). */
     std::shared_ptr<BackingStore> nvmStoreHandle() override
     {
         return dev_.storeHandle();
     }
 
+  protected:
+    void
+    readVisibleBlock(Addr block, std::uint8_t* out) const override
+    {
+        port_.functionalRead(block, out, kBlockSize);
+    }
+
   private:
-    std::size_t phys_size_;
     bool is_dram_;
     MemDevice dev_;
     DevicePort port_;

@@ -27,8 +27,8 @@ IncrementalController::nvmCapacity(const IncrementalConfig& cfg)
 IncrementalController::IncrementalController(
     EventQueue& eq, std::string name, const IncrementalConfig& cfg,
     std::shared_ptr<BackingStore> nvm_store)
-    : EpochController(eq, std::move(name), cfg.epoch_length,
-                      At::Commit, At::Commit),
+    : EpochController(eq, std::move(name), cfg.phys_size,
+                      cfg.epoch_length, At::Commit, At::Commit),
       cfg_(cfg),
       dram_dev_(eq, this->name() + ".dram",
                 DeviceParams::dram((cfg.table_entries + cfg.table_headroom)
@@ -75,9 +75,7 @@ IncrementalController::accessBlock(Addr paddr, bool is_write,
                                    TrafficSource source,
                                    std::function<void()> done)
 {
-    panic_if(paddr % kBlockSize != 0, "unaligned controller access");
-    panic_if(paddr + kBlockSize > cfg_.phys_size,
-             "physical address out of range");
+    checkBlockAccess(paddr);
 
     auto it = table_.find(paddr);
     if (!is_write) {
@@ -118,30 +116,13 @@ IncrementalController::accessBlock(Addr paddr, bool is_write,
 }
 
 void
-IncrementalController::functionalRead(Addr paddr, void* buf,
-                                      std::size_t len) const
+IncrementalController::readVisibleBlock(Addr block, std::uint8_t* out) const
 {
-    auto* out = static_cast<std::uint8_t*>(buf);
-    std::size_t remaining = len;
-    Addr addr = paddr;
-    while (remaining > 0) {
-        const Addr block = blockAlign(addr);
-        const std::size_t in_block = addr - block;
-        const std::size_t chunk =
-            std::min(remaining, kBlockSize - in_block);
-        std::uint8_t tmp[kBlockSize];
-        auto it = table_.find(block);
-        if (it != table_.end())
-            dram_port_.functionalRead(dramSlotAddr(it->second), tmp,
-                                      kBlockSize);
-        else
-            nvm_port_.functionalRead(committedAddr(block), tmp,
-                                     kBlockSize);
-        std::memcpy(out, tmp + in_block, chunk);
-        out += chunk;
-        addr += chunk;
-        remaining -= chunk;
-    }
+    auto it = table_.find(block);
+    if (it != table_.end())
+        dram_port_.functionalRead(dramSlotAddr(it->second), out, kBlockSize);
+    else
+        nvm_port_.functionalRead(committedAddr(block), out, kBlockSize);
 }
 
 void
@@ -157,18 +138,8 @@ void
 IncrementalController::forEachTouchedPhysRange(
     const std::function<void(Addr, std::size_t)>& fn) const
 {
-    // Both image slots alias the physical space; the bitmap, header and
-    // CPU areas above them are never software-visible.
-    const Addr phys = cfg_.phys_size;
-    nvm_dev_.store().forEachTouchedRange(
-        [&](Addr a, const std::uint8_t*, std::size_t len) {
-            if (a < phys)
-                fn(a, std::min(len, phys - a));
-            const Addr s = std::max<Addr>(a, phys);
-            const Addr e = std::min<Addr>(a + len, 2 * phys);
-            if (s < e)
-                fn(s - phys, e - s);
-        });
+    // Both image slots alias the physical space.
+    forEachTouchedCopyRange(nvm_dev_, 2, fn);
     // Blocks redirected to the DRAM buffer.
     for (const auto& [paddr, slot] : table_)
         fn(paddr, kBlockSize);

@@ -66,44 +66,23 @@ class IncrementalController : public EpochController
      */
     static std::size_t nvmCapacity(const IncrementalConfig& cfg);
 
-    std::size_t physCapacity() const override { return cfg_.phys_size; }
     void accessBlock(Addr paddr, bool is_write, const std::uint8_t* wdata,
                      std::uint8_t* rdata, TrafficSource source,
                      std::function<void()> done) override;
-
-    /**
-     * Never fast: reads hit an NVM slot or the DRAM buffer and writes
-     * coalesce into DRAM, all as timed device-queue traffic; a boundary
-     * may also stall the access entirely.
-     */
-    Tick
-    tryAccessFast(Addr, bool, const std::uint8_t*, std::uint8_t*,
-                  TrafficSource) final
-    {
-        return kNoFastPath;
-    }
-
-    void functionalRead(Addr paddr, void* buf,
-                        std::size_t len) const override;
     void forEachTouchedPhysRange(
         const std::function<void(Addr, std::size_t)>& fn) const override;
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
     void crash() override;
 
-    /** DRAM device (dirty-block buffer). */
-    MemDevice& dram() { return dram_dev_; }
     /** NVM device (double image + bitmaps + headers). */
-    MemDevice& nvm() { return nvm_dev_; }
     MemDevice* nvmDevice() override { return &nvm_dev_; }
+    /** DRAM device (dirty-block buffer). */
     MemDevice* dramDevice() override { return &dram_dev_; }
-    std::shared_ptr<BackingStore> nvmStoreHandle() override
-    {
-        return nvm_dev_.storeHandle();
-    }
     /** Live entries in the dirty-block table. */
     std::size_t tableLive() const { return table_.size(); }
 
   protected:
+    void readVisibleBlock(Addr block, std::uint8_t* out) const override;
     void doCheckpoint(std::function<void()> done) override;
     const CommitRecord& commitRecord() const override { return commit_; }
     void rebuild(const std::optional<CommitRecord::Committed>& committed,

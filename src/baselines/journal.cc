@@ -33,8 +33,8 @@ JournalController::nvmCapacity(const JournalConfig& cfg)
 JournalController::JournalController(
     EventQueue& eq, std::string name, const JournalConfig& cfg,
     std::shared_ptr<BackingStore> nvm_store)
-    : EpochController(eq, std::move(name), cfg.epoch_length,
-                      At::Commit, At::Commit),
+    : EpochController(eq, std::move(name), cfg.phys_size,
+                      cfg.epoch_length, At::Commit, At::Commit),
       cfg_(cfg),
       dram_dev_(eq, this->name() + ".dram",
                 DeviceParams::dram((cfg.table_entries + cfg.table_headroom)
@@ -93,9 +93,7 @@ JournalController::accessBlock(Addr paddr, bool is_write,
                                std::uint8_t* rdata, TrafficSource source,
                                std::function<void()> done)
 {
-    panic_if(paddr % kBlockSize != 0, "unaligned controller access");
-    panic_if(paddr + kBlockSize > cfg_.phys_size,
-             "physical address out of range");
+    checkBlockAccess(paddr);
 
     auto it = table_.find(paddr);
     if (!is_write) {
@@ -135,29 +133,13 @@ JournalController::accessBlock(Addr paddr, bool is_write,
 }
 
 void
-JournalController::functionalRead(Addr paddr, void* buf,
-                                  std::size_t len) const
+JournalController::readVisibleBlock(Addr block, std::uint8_t* out) const
 {
-    auto* out = static_cast<std::uint8_t*>(buf);
-    std::size_t remaining = len;
-    Addr addr = paddr;
-    while (remaining > 0) {
-        const Addr block = blockAlign(addr);
-        const std::size_t in_block = addr - block;
-        const std::size_t chunk =
-            std::min(remaining, kBlockSize - in_block);
-        std::uint8_t tmp[kBlockSize];
-        auto it = table_.find(block);
-        if (it != table_.end())
-            dram_port_.functionalRead(dramSlotAddr(it->second), tmp,
-                                      kBlockSize);
-        else
-            nvm_port_.functionalRead(block, tmp, kBlockSize);
-        std::memcpy(out, tmp + in_block, chunk);
-        out += chunk;
-        addr += chunk;
-        remaining -= chunk;
-    }
+    auto it = table_.find(block);
+    if (it != table_.end())
+        dram_port_.functionalRead(dramSlotAddr(it->second), out, kBlockSize);
+    else
+        nvm_port_.functionalRead(block, out, kBlockSize);
 }
 
 void
@@ -171,13 +153,8 @@ void
 JournalController::forEachTouchedPhysRange(
     const std::function<void(Addr, std::size_t)>& fn) const
 {
-    // Home region is NVM at identity addresses below phys_size; the
-    // journal/header/CPU areas above it are never software-visible.
-    nvm_dev_.store().forEachTouchedRange(
-        [&](Addr a, const std::uint8_t*, std::size_t len) {
-            if (a < cfg_.phys_size)
-                fn(a, std::min(len, cfg_.phys_size - a));
-        });
+    // Home region is NVM at identity addresses below phys_size.
+    forEachTouchedCopyRange(nvm_dev_, 1, fn);
     // Blocks redirected to the DRAM journal buffer.
     for (const auto& [paddr, slot] : table_)
         fn(paddr, kBlockSize);

@@ -18,8 +18,8 @@ constexpr std::uint64_t kShadowMagic = 0x5348414457504721ull; // SHADWPG!
 ShadowController::ShadowController(
     EventQueue& eq, std::string name, const ShadowConfig& cfg,
     std::shared_ptr<BackingStore> nvm_store)
-    : EpochController(eq, std::move(name), cfg.epoch_length,
-                      At::Commit, At::Commit),
+    : EpochController(eq, std::move(name), cfg.phys_size,
+                      cfg.epoch_length, At::Commit, At::Commit),
       cfg_(cfg),
       dram_dev_(eq, this->name() + ".dram",
                 DeviceParams::dram(cfg.dram_size)),
@@ -174,9 +174,7 @@ ShadowController::accessBlock(Addr paddr, bool is_write,
                               std::uint8_t* rdata, TrafficSource source,
                               std::function<void()> done)
 {
-    panic_if(paddr % kBlockSize != 0, "unaligned controller access");
-    panic_if(paddr + kBlockSize > cfg_.phys_size,
-             "physical address out of range");
+    checkBlockAccess(paddr);
     const Addr page = pageAlign(paddr);
     auto it = resident_.find(page);
 
@@ -203,32 +201,16 @@ ShadowController::accessBlock(Addr paddr, bool is_write,
 }
 
 void
-ShadowController::functionalRead(Addr paddr, void* buf,
-                                 std::size_t len) const
+ShadowController::readVisibleBlock(Addr block, std::uint8_t* out) const
 {
-    auto* out = static_cast<std::uint8_t*>(buf);
-    std::size_t remaining = len;
-    Addr addr = paddr;
-    while (remaining > 0) {
-        const Addr block = blockAlign(addr);
-        const Addr page = pageAlign(addr);
-        const std::size_t in_block = addr - block;
-        const std::size_t chunk =
-            std::min(remaining, kBlockSize - in_block);
-        std::uint8_t tmp[kBlockSize];
-        auto it = resident_.find(page);
-        if (it != resident_.end()) {
-            dram_port_.functionalRead(
-                it->second.slot * kPageSize + (block - page), tmp,
-                kBlockSize);
-        } else {
-            nvm_port_.functionalRead(visibleNvmPage(page) + (block - page),
-                                     tmp, kBlockSize);
-        }
-        std::memcpy(out, tmp + in_block, chunk);
-        out += chunk;
-        addr += chunk;
-        remaining -= chunk;
+    const Addr page = pageAlign(block);
+    auto it = resident_.find(page);
+    if (it != resident_.end()) {
+        dram_port_.functionalRead(
+            it->second.slot * kPageSize + (block - page), out, kBlockSize);
+    } else {
+        nvm_port_.functionalRead(visibleNvmPage(page) + (block - page), out,
+                                 kBlockSize);
     }
 }
 
@@ -244,24 +226,8 @@ ShadowController::forEachTouchedPhysRange(
     const std::function<void(Addr, std::size_t)>& fn) const
 {
     // NVM page slots: slot 0 of page i lives at i*kPageSize, slot 1 at
-    // phys_size + i*kPageSize (see nvmPageAddr). Both regions are
-    // phys_size long and kPageSize-aligned, and touched-range chunks
-    // never straddle a host page, so mapping a chunk's base address
-    // back to its physical page is exact. Device areas beyond the two
-    // slot regions (page table, headers, CPU state) are never
-    // software-visible.
-    nvm_dev_.store().forEachTouchedRange(
-        [&](Addr a, const std::uint8_t*, std::size_t len) {
-            const Addr end = a + len;
-            if (a < cfg_.phys_size) {
-                const Addr hi = std::min<Addr>(end, cfg_.phys_size);
-                fn(a, hi - a);
-            }
-            const Addr lo1 = std::max<Addr>(a, cfg_.phys_size);
-            const Addr hi1 = std::min<Addr>(end, 2 * cfg_.phys_size);
-            if (lo1 < hi1)
-                fn(lo1 - cfg_.phys_size, hi1 - lo1);
-        });
+    // phys_size + i*kPageSize (see nvmPageAddr).
+    forEachTouchedCopyRange(nvm_dev_, 2, fn);
     // Pages faulted into the DRAM working set shadow whatever is in
     // NVM for reads.
     for (const auto& [page, r] : resident_)

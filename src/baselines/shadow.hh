@@ -54,44 +54,23 @@ class ShadowController : public EpochController
      */
     static std::size_t nvmCapacity(const ShadowConfig& cfg);
 
-    std::size_t physCapacity() const override { return cfg_.phys_size; }
     void accessBlock(Addr paddr, bool is_write, const std::uint8_t* wdata,
                      std::uint8_t* rdata, TrafficSource source,
                      std::function<void()> done) override;
-
-    /**
-     * Never fast: every access may trigger a copy-on-write page fetch
-     * into the DRAM buffer and always travels the device ports, so the
-     * issue tick is timing-visible.
-     */
-    Tick
-    tryAccessFast(Addr, bool, const std::uint8_t*, std::uint8_t*,
-                  TrafficSource) final
-    {
-        return kNoFastPath;
-    }
-
-    void functionalRead(Addr paddr, void* buf,
-                        std::size_t len) const override;
     void forEachTouchedPhysRange(
         const std::function<void(Addr, std::size_t)>& fn) const override;
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
     void crash() override;
 
-    /** DRAM device (page buffer). */
-    MemDevice& dram() { return dram_dev_; }
     /** NVM device (home + shadow + table slots). */
-    MemDevice& nvm() { return nvm_dev_; }
     MemDevice* nvmDevice() override { return &nvm_dev_; }
+    /** DRAM device (page buffer). */
     MemDevice* dramDevice() override { return &dram_dev_; }
-    std::shared_ptr<BackingStore> nvmStoreHandle() override
-    {
-        return nvm_dev_.storeHandle();
-    }
     /** Pages currently resident in the DRAM buffer. */
     std::size_t residentPages() const { return resident_.size(); }
 
   protected:
+    void readVisibleBlock(Addr block, std::uint8_t* out) const override;
     void doCheckpoint(std::function<void()> done) override;
     const CommitRecord& commitRecord() const override { return commit_; }
     void rebuild(const std::optional<CommitRecord::Committed>& committed,

@@ -84,6 +84,43 @@ blockInPage(Addr addr)
     return (addr % kPageSize) / kBlockSize;
 }
 
+/** The part of a byte range that lies in one block. */
+struct BlockChunk
+{
+    /** The block's aligned address. */
+    Addr block;
+    /** Offset of the part's first byte within the block. */
+    std::size_t offset;
+    /** Bytes in the part. */
+    std::size_t len;
+};
+
+/** The part of [@p addr, @p addr + @p len) in @p addr's block. */
+constexpr BlockChunk
+blockChunk(Addr addr, std::size_t len)
+{
+    const Addr block = blockAlign(addr);
+    const std::size_t offset = addr - block;
+    return {block, offset,
+            len < kBlockSize - offset ? len : kBlockSize - offset};
+}
+
+/**
+ * Split [@p addr, @p addr + @p len) at block boundaries: fn(chunk, done)
+ * runs once per part in address order, @p done being the bytes of the
+ * range before it.
+ */
+template <typename Fn>
+void
+forEachBlockChunk(Addr addr, std::size_t len, Fn&& fn)
+{
+    for (std::size_t done = 0; done < len;) {
+        const BlockChunk c = blockChunk(addr + done, len - done);
+        fn(c, done);
+        done += c.len;
+    }
+}
+
 /** Round @p value up to the next multiple of @p align (a power of two). */
 constexpr std::uint64_t
 roundUp(std::uint64_t value, std::uint64_t align)

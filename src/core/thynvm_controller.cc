@@ -22,7 +22,8 @@ constexpr std::uint64_t kBackupMagic = 0x5468794e564d2121ull; // "ThyNVM!!"
 ThyNvmController::ThyNvmController(EventQueue& eq, std::string name,
                                    const ThyNvmConfig& cfg,
                                    std::shared_ptr<BackingStore> nvm_store)
-    : EpochController(eq, name, cfg.epoch_length, At::FlushDone,
+    : EpochController(eq, name, cfg.phys_size, cfg.epoch_length,
+                      At::FlushDone,
                       cfg.stop_the_world ? At::Commit : At::FlushDone),
       cfg_(cfg),
       layout_(cfg),
@@ -99,9 +100,7 @@ ThyNvmController::accessBlock(Addr paddr, bool is_write,
                               std::function<void()> done)
 {
     (void)source;
-    panic_if(paddr % kBlockSize != 0, "unaligned controller access");
-    panic_if(paddr + kBlockSize > cfg_.phys_size,
-             "physical address out of range");
+    checkBlockAccess(paddr);
     if (is_write) {
         noteAppWrite();
         handleStore(paddr, wdata, std::move(done));
@@ -126,11 +125,7 @@ ThyNvmController::forEachTouchedPhysRange(
     // images, headers, CPU areas — is only software-visible through a
     // live BTT/PTT/overflow mapping, so reporting those tags covers
     // it. DRAM working copies are likewise only visible via tables.
-    nvm_dev_.store().forEachTouchedRange(
-        [&](Addr a, const std::uint8_t*, std::size_t len) {
-            if (a < cfg_.phys_size)
-                fn(a, std::min(len, cfg_.phys_size - a));
-        });
+    forEachTouchedCopyRange(nvm_dev_, 1, fn);
     btt_.forEachLive([&](std::size_t, const BttEntry& e) {
         fn(e.block_paddr, kBlockSize);
     });
@@ -142,30 +137,11 @@ ThyNvmController::forEachTouchedPhysRange(
 }
 
 void
-ThyNvmController::functionalRead(Addr paddr, void* buf,
-                                 std::size_t len) const
+ThyNvmController::readVisibleBlock(Addr block, std::uint8_t* out) const
 {
-    panic_if(paddr + len > cfg_.phys_size,
-             "functional read beyond physical space");
-    auto* out = static_cast<std::uint8_t*>(buf);
-    std::size_t remaining = len;
-    Addr addr = paddr;
-    while (remaining > 0) {
-        const Addr block = blockAlign(addr);
-        const std::size_t in_block = addr - block;
-        const std::size_t chunk =
-            std::min(remaining, kBlockSize - in_block);
-        VisibleLoc loc = visibleLoc(block);
-        std::uint8_t tmp[kBlockSize];
-        if (loc.in_dram)
-            dram_port_.functionalRead(loc.addr, tmp, kBlockSize);
-        else
-            nvm_port_.functionalRead(loc.addr, tmp, kBlockSize);
-        std::memcpy(out, tmp + in_block, chunk);
-        out += chunk;
-        addr += chunk;
-        remaining -= chunk;
-    }
+    const VisibleLoc loc = visibleLoc(block);
+    (loc.in_dram ? dram_port_ : nvm_port_)
+        .functionalRead(loc.addr, out, kBlockSize);
 }
 
 // ---------------------------------------------------------------------

@@ -62,43 +62,21 @@ class ThyNvmController : public EpochController
                      std::shared_ptr<BackingStore> nvm_store = nullptr);
 
     // MemController interface.
-    std::size_t physCapacity() const override { return cfg_.phys_size; }
     void accessBlock(Addr paddr, bool is_write, const std::uint8_t* wdata,
                      std::uint8_t* rdata, TrafficSource source,
                      std::function<void()> done) override;
-
-    /**
-     * Never fast: loads read the visible copy through a device port and
-     * stores mutate BTT/PTT state and stage timed NVM/DRAM traffic (or
-     * stall on table overflow) — the issue tick is always
-     * timing-visible.
-     */
-    Tick
-    tryAccessFast(Addr, bool, const std::uint8_t*, std::uint8_t*,
-                  TrafficSource) final
-    {
-        return kNoFastPath;
-    }
-    void functionalRead(Addr paddr, void* buf,
-                        std::size_t len) const override;
     void forEachTouchedPhysRange(
         const std::function<void(Addr, std::size_t)>& fn) const override;
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
     void crash() override;
 
+    /** NVM device (home, checkpoint regions, backup region). */
     MemDevice* nvmDevice() override { return &nvm_dev_; }
+    /** DRAM device (working data region + block buffer). */
     MemDevice* dramDevice() override { return &dram_dev_; }
-    std::shared_ptr<BackingStore> nvmStoreHandle() override
-    {
-        return nvm_dev_.storeHandle();
-    }
 
     /** Controller configuration. */
     const ThyNvmConfig& config() const { return cfg_; }
-    /** DRAM device (working data region + block buffer). */
-    MemDevice& dram() { return dram_dev_; }
-    /** NVM device (home, checkpoint regions, backup region). */
-    MemDevice& nvm() { return nvm_dev_; }
     /** Address-space layout calculator. */
     const AddressLayout& layout() const { return layout_; }
     /** Live BTT entries. */
@@ -107,6 +85,7 @@ class ThyNvmController : public EpochController
     std::size_t pttLive() const { return ptt_.live(); }
 
   protected:
+    void readVisibleBlock(Addr block, std::uint8_t* out) const override;
     const CommitRecord& commitRecord() const override { return commit_; }
     /** Reload the tables, page images and overflow buffer. */
     void rebuild(const std::optional<CommitRecord::Committed>& committed,

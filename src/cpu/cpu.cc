@@ -123,13 +123,11 @@ TraceCpu::issueNextPiece()
     // charging the summed latency through one piece_event_ leaves every
     // stat and completion tick identical to the per-piece event path.
     while (op_offset_ < cur_op_.size) {
-        const Addr byte_addr = cur_op_.addr + op_offset_;
-        const Addr block_addr = blockAlign(byte_addr);
-        const std::uint32_t in_block =
-            static_cast<std::uint32_t>(byte_addr - block_addr);
-        const std::uint32_t chunk = std::min<std::uint32_t>(
-            cur_op_.size - op_offset_,
-            static_cast<std::uint32_t>(kBlockSize) - in_block);
+        const BlockChunk piece =
+            blockChunk(cur_op_.addr + op_offset_, cur_op_.size - op_offset_);
+        const Addr block_addr = piece.block;
+        const auto in_block = static_cast<std::uint32_t>(piece.offset);
+        const auto chunk = static_cast<std::uint32_t>(piece.len);
 
         // Once a checkpoint pause is pending, the op's completion will
         // run the flush machinery, whose same-tick event ordering must

@@ -17,7 +17,9 @@ namespace thynvm {
 ChannelGroup::ChannelGroup(EventQueue& eq, std::string name,
                            const ControllerSpec& cfg,
                            std::shared_ptr<BackingStore> nvm_store)
-    : MemController(eq, std::move(name)), cfg_(cfg), il_(cfg.channels)
+    : MemController(eq, std::move(name), cfg.phys_size),
+      cfg_(cfg),
+      il_(cfg.channels)
 {
     fatal_if(cfg_.channels < 2,
              "a channel group needs at least 2 channels (got %u); "
@@ -127,9 +129,7 @@ ChannelGroup::accessBlock(Addr paddr, bool is_write,
                           const std::uint8_t* wdata, std::uint8_t* rdata,
                           TrafficSource source, std::function<void()> done)
 {
-    panic_if(paddr % kBlockSize != 0, "unaligned channel-group access");
-    panic_if(paddr + kBlockSize > cfg_.phys_size,
-             "physical address out of range");
+    checkBlockAccess(paddr);
     const unsigned ch = il_.channelOf(paddr);
     const Addr local = il_.localAddr(paddr);
     auto reply = std::make_shared<std::function<void()>>(std::move(done));
@@ -186,18 +186,16 @@ ChannelGroup::persistCpuState(const std::vector<std::uint8_t>& blob)
 }
 
 void
-ChannelGroup::functionalRead(Addr paddr, void* buf, std::size_t len) const
+ChannelGroup::readVisibleBlock(Addr block, std::uint8_t* out) const
 {
-    panic_if(paddr + len > cfg_.phys_size,
-             "functional read beyond physical space");
-    mirror_.read(paddr, buf, len);
+    mirror_.read(block, out, kBlockSize);
 }
 
 void
 ChannelGroup::forEachTouchedPhysRange(
     const std::function<void(Addr, std::size_t)>& fn) const
 {
-    // functionalRead resolves purely from the core-side mirror, so the
+    // readVisibleBlock resolves purely from the core-side mirror, so the
     // mirror's touched pages are exactly the group's touched set.
     mirror_.forEachTouchedRange(
         0, cfg_.phys_size,
@@ -211,19 +209,12 @@ ChannelGroup::loadImage(Addr paddr, const void* buf, std::size_t len)
     mirror_.write(paddr, buf, len);
     // Forward block-granular chunks to the owning channels' durable
     // home locations (zero-time, pre-simulation — direct calls).
-    const auto* p = static_cast<const std::uint8_t*>(buf);
-    Addr a = paddr;
-    std::size_t remaining = len;
-    while (remaining > 0) {
-        const Addr block = blockAlign(a);
-        const std::size_t in_block = a - block;
-        const std::size_t chunk =
-            std::min(remaining, kBlockSize - in_block);
-        chs_[il_.channelOf(a)]->ctrl->loadImage(il_.localAddr(a), p, chunk);
-        p += chunk;
-        a += chunk;
-        remaining -= chunk;
-    }
+    const auto* src = static_cast<const std::uint8_t*>(buf);
+    forEachBlockChunk(paddr, len, [&](const BlockChunk& c, std::size_t done) {
+        const Addr a = paddr + done;
+        chs_[il_.channelOf(a)]->ctrl->loadImage(il_.localAddr(a), src + done,
+                                                c.len);
+    });
 }
 
 void

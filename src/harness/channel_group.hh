@@ -103,7 +103,6 @@ class ChannelGroup : public MemController
     // ------------------------------------------------------------------
     // MemController interface (the cache hierarchy's view).
     // ------------------------------------------------------------------
-    std::size_t physCapacity() const override { return cfg_.phys_size; }
     void accessBlock(Addr paddr, bool is_write, const std::uint8_t* wdata,
                      std::uint8_t* rdata, TrafficSource source,
                      std::function<void()> done) override;
@@ -112,8 +111,6 @@ class ChannelGroup : public MemController
     {
         return recovered_cpu_;
     }
-    void functionalRead(Addr paddr, void* buf,
-                        std::size_t len) const override;
     void forEachTouchedPhysRange(
         const std::function<void(Addr, std::size_t)>& fn) const override;
     void loadImage(Addr paddr, const void* buf, std::size_t len) override;
@@ -156,6 +153,10 @@ class ChannelGroup : public MemController
         return *chs_[i]->ctrl;
     }
     const ChannelInterleaver& interleaver() const { return il_; }
+
+  protected:
+    /** Reads the core-side mirror. */
+    void readVisibleBlock(Addr block, std::uint8_t* out) const override;
 
   private:
     struct Channel

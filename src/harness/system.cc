@@ -5,8 +5,6 @@
 
 #include "harness/system.hh"
 
-#include <algorithm>
-#include <cstring>
 #include <ostream>
 
 #include "common/parallel.hh"
@@ -82,21 +80,9 @@ System::functionalView()
         cfg_.use_caches ? static_cast<BlockAccessor*>(l1_.get())
                         : static_cast<BlockAccessor*>(controller_.get());
     return [top](Addr addr, void* buf, std::size_t len) {
-        auto* out = static_cast<std::uint8_t*>(buf);
-        std::size_t remaining = len;
-        Addr a = addr;
-        while (remaining > 0) {
-            const Addr block = blockAlign(a);
-            const std::size_t in_block = a - block;
-            const std::size_t chunk =
-                std::min(remaining, kBlockSize - in_block);
-            std::uint8_t tmp[kBlockSize];
-            top->functionalReadBlock(block, tmp);
-            std::memcpy(out, tmp + in_block, chunk);
-            out += chunk;
-            a += chunk;
-            remaining -= chunk;
-        }
+        readByBlocks(addr, buf, len, [top](Addr block, std::uint8_t* out) {
+            top->functionalReadBlock(block, out);
+        });
     };
 }
 

@@ -12,6 +12,7 @@
 #define THYNVM_MEM_BLOCK_ACCESSOR_HH
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 
 #include "common/types.hh"
@@ -85,6 +86,26 @@ class BlockAccessor
      */
     virtual void functionalReadBlock(Addr paddr, std::uint8_t* buf) = 0;
 };
+
+/**
+ * Read [@p addr, @p addr + @p len) into @p buf one block at a time:
+ * read(block, out) fills kBlockSize bytes of @p block's contents.
+ */
+template <typename ReadBlock>
+void
+readByBlocks(Addr addr, void* buf, std::size_t len, ReadBlock&& read)
+{
+    auto* out = static_cast<std::uint8_t*>(buf);
+    forEachBlockChunk(addr, len, [&](const BlockChunk& c, std::size_t done) {
+        if (c.len == kBlockSize) {
+            read(c.block, out + done);
+            return;
+        }
+        std::uint8_t tmp[kBlockSize];
+        read(c.block, tmp);
+        std::memcpy(out + done, tmp + c.offset, c.len);
+    });
+}
 
 } // namespace thynvm
 

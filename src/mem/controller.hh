@@ -6,7 +6,11 @@
  * concrete controller (ThyNVM, journaling, shadow paging, ideal DRAM/NVM)
  * implements address translation, crash-consistency machinery, and
  * recovery behind this interface, so systems are interchangeable in the
- * harness and benchmarks.
+ * harness and benchmarks. A kind supplies only what differs: the timed
+ * accessBlock(), the functional lookup of one block (readVisibleBlock),
+ * its touched ranges, loadImage(), crash() and recovery. The base owns
+ * the rest once: the physical capacity, the never-fast answer, the
+ * byte-range functional read and the device roll-ups.
  */
 
 #ifndef THYNVM_MEM_CONTROLLER_HH
@@ -41,8 +45,9 @@ class MemController : public SimObject, public BlockAccessor
      */
     using FlushClient = std::function<void(std::function<void()>)>;
 
-    MemController(EventQueue& eq, std::string name)
-        : SimObject(eq, std::move(name))
+    /** @param phys_size the software-visible physical space in bytes. */
+    MemController(EventQueue& eq, std::string name, std::size_t phys_size)
+        : SimObject(eq, std::move(name)), phys_size_(phys_size)
     {
         stats().addScalar("epochs", &epochs_, "completed epochs");
         stats().addScalar("ckpt_stall_time", &ckpt_stall_time_,
@@ -71,7 +76,7 @@ class MemController : public SimObject, public BlockAccessor
     }
 
     /** Size of the software-visible physical address space in bytes. */
-    virtual std::size_t physCapacity() const = 0;
+    std::size_t physCapacity() const { return phys_size_; }
 
     /**
      * Timed block access from the cache hierarchy.
@@ -94,6 +99,18 @@ class MemController : public SimObject, public BlockAccessor
                      std::function<void()> done) override = 0;
 
     /**
+     * Never fast: every controller models device timing, so an access
+     * enqueues into a device's bank queues (or stalls behind a
+     * checkpoint) and its issue tick is timing-visible.
+     */
+    Tick
+    tryAccessFast(Addr, bool, const std::uint8_t*, std::uint8_t*,
+                  TrafficSource) final
+    {
+        return kNoFastPath;
+    }
+
+    /**
      * Persist a CPU architectural-state blob as part of the running
      * checkpoint (called by the flush client). Controllers without
      * checkpointing may ignore it.
@@ -113,14 +130,22 @@ class MemController : public SimObject, public BlockAccessor
 
     /**
      * Read the current software-visible version of memory with no timing
-     * effect. Used by tests, the consistency checker, and examples.
+     * effect, one readVisibleBlock() per block. Used by tests, the
+     * consistency checker, and examples.
      */
-    virtual void functionalRead(Addr paddr, void* buf,
-                                std::size_t len) const = 0;
+    void
+    functionalRead(Addr paddr, void* buf, std::size_t len) const
+    {
+        panic_if(paddr + len > phys_size_,
+                 "functional read beyond physical space");
+        readByBlocks(paddr, buf, len, [this](Addr block, std::uint8_t* out) {
+            readVisibleBlock(block, out);
+        });
+    }
 
     /** BlockAccessor functional read, resolved via functionalRead(). */
     void
-    functionalReadBlock(Addr paddr, std::uint8_t* buf) override
+    functionalReadBlock(Addr paddr, std::uint8_t* buf) final
     {
         functionalRead(paddr, buf, kBlockSize);
     }
@@ -142,14 +167,10 @@ class MemController : public SimObject, public BlockAccessor
      * with the union of their touched backing-store pages (port writes
      * land there when sent) and live remap-table entries, making
      * whole-image capture and mirror rebuilds O(touched) instead of
-     * O(capacity); the default conservatively reports the entire space.
+     * O(capacity).
      */
-    virtual void
-    forEachTouchedPhysRange(
-        const std::function<void(Addr, std::size_t)>& fn) const
-    {
-        fn(0, physCapacity());
-    }
+    virtual void forEachTouchedPhysRange(
+        const std::function<void(Addr, std::size_t)>& fn) const = 0;
 
     /** Begin operation (arm epoch timers, etc.). */
     virtual void start() {}
@@ -257,10 +278,15 @@ class MemController : public SimObject, public BlockAccessor
     virtual MemDevice* nvmDevice() { return nullptr; }
     /** DRAM device, if this controller has one. */
     virtual MemDevice* dramDevice() { return nullptr; }
-    /** Handle to the NVM contents that survive a crash (may be null). */
-    virtual std::shared_ptr<BackingStore> nvmStoreHandle()
+    /**
+     * Handle to the contents that survive a crash (may be null); by
+     * default the NVM device's store.
+     */
+    virtual std::shared_ptr<BackingStore>
+    nvmStoreHandle()
     {
-        return nullptr;
+        MemDevice* d = nvmDevice();
+        return d != nullptr ? d->storeHandle() : nullptr;
     }
 
     /** Dump this controller's stats, then its NVM and DRAM devices'. */
@@ -345,6 +371,46 @@ class MemController : public SimObject, public BlockAccessor
     }
 
   protected:
+    /**
+     * Fill @p out with the kBlockSize software-visible bytes of the
+     * block at @p block (aligned, within the physical space), with no
+     * timing effect.
+     */
+    virtual void readVisibleBlock(Addr block, std::uint8_t* out) const = 0;
+
+    /** Panic unless @p paddr names a whole block of the physical space. */
+    void
+    checkBlockAccess(Addr paddr) const
+    {
+        panic_if(paddr % kBlockSize != 0, "unaligned controller access");
+        panic_if(paddr + kBlockSize > phys_size_,
+                 "physical address out of range");
+    }
+
+    /**
+     * Report the touched bytes of @p dev's store that hold copies of
+     * the physical space: @p copies regions of physCapacity() bytes
+     * each, back to back from device address 0, every region mapped
+     * back onto [0, physCapacity()). The device areas above them are
+     * never software-visible.
+     */
+    void
+    forEachTouchedCopyRange(
+        const MemDevice& dev, unsigned copies,
+        const std::function<void(Addr, std::size_t)>& fn) const
+    {
+        const Addr phys = phys_size_;
+        dev.store().forEachTouchedRange(
+            [&](Addr a, const std::uint8_t*, std::size_t len) {
+                for (unsigned k = 0; k < copies; ++k) {
+                    const Addr lo = std::max<Addr>(a, k * phys);
+                    const Addr hi = std::min<Addr>(a + len, (k + 1) * phys);
+                    if (lo < hi)
+                        fn(lo - k * phys, hi - lo);
+                }
+            });
+    }
+
     /** Announce a named checkpoint-pipeline step to the registry. */
     void
     crashPoint(const char* site)
@@ -418,6 +484,9 @@ class MemController : public SimObject, public BlockAccessor
     bool replaying_app_ = false;
     std::uint64_t last_epoch_media_ = 0;
     std::uint64_t last_epoch_app_ = 0;
+
+  private:
+    std::size_t phys_size_;
 };
 
 /**

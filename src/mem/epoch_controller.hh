@@ -46,12 +46,13 @@ class EpochController : public MemController
     };
 
     /**
+     * @param phys_size the software-visible physical space in bytes.
      * @param opens where the next epoch opens.
      * @param resumes where the paused CPU resumes.
      */
-    EpochController(EventQueue& eq, std::string name, Tick epoch_length,
-                    At opens, At resumes)
-        : MemController(eq, std::move(name)),
+    EpochController(EventQueue& eq, std::string name, std::size_t phys_size,
+                    Tick epoch_length, At opens, At resumes)
+        : MemController(eq, std::move(name), phys_size),
           epoch_length_(epoch_length),
           opens_(opens),
           resumes_(resumes),

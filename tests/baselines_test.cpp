@@ -80,7 +80,7 @@ TEST_F(JournalTest, CheckpointAppliesInPlaceAndClears)
     EXPECT_EQ(ctrl->tableLive(), 0u);
     // The home region now holds the committed data.
     std::uint8_t home[kBlockSize];
-    ctrl->nvm().store().read(8192, home, kBlockSize);
+    ctrl->nvmDevice()->store().read(8192, home, kBlockSize);
     EXPECT_EQ(std::memcmp(home, data.data(), kBlockSize), 0);
     EXPECT_EQ(loadBlock(eq, *ctrl, 8192), data);
 }
@@ -106,7 +106,7 @@ TEST_F(JournalTest, JournalWritesDoubleTheCheckpointTraffic)
     // Each block is written twice: once to the journal, once in place.
     EXPECT_EQ(ctrl->stats().value("journaled_blocks"), 8.0);
     EXPECT_EQ(ctrl->stats().value("applied_blocks"), 8.0);
-    EXPECT_GE(ctrl->nvm().writeBytes(TrafficSource::Checkpoint),
+    EXPECT_GE(ctrl->nvmDevice()->writeBytes(TrafficSource::Checkpoint),
               2 * 8 * kBlockSize);
 }
 
@@ -207,7 +207,7 @@ TEST_F(ShadowTest, BufferFullEvictsWholePages)
     // full-page NVM write: the Random pathology of Figure 8. Let the
     // staged flush traffic reach the device before counting it.
     test::settle(eq, 5 * kMillisecond);
-    EXPECT_GE(ctrl->nvm().writeBytes(TrafficSource::Checkpoint),
+    EXPECT_GE(ctrl->nvmDevice()->writeBytes(TrafficSource::Checkpoint),
               4 * kPageSize);
     for (unsigned p = 0; p < 8; ++p)
         EXPECT_EQ(loadBlock(eq, *ctrl, p * kPageSize), patternBlock(p));

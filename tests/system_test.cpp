@@ -7,6 +7,7 @@
 
 #include "tests/test_util.hh"
 
+#include <algorithm>
 #include <string>
 
 #include "fuzz/fuzzer.hh"
@@ -194,6 +195,56 @@ TEST(SystemTest, TouchedPagesCoverStagedWritesOnEveryKind)
                 sys, cfg.phys_size,
                 std::string(systemKindName(kind)) + " stop " +
                     std::to_string(stop));
+        }
+    }
+}
+
+/**
+ * A byte-range functional read that starts inside a block and spans
+ * several is assembled from the same per-block lookups the caches use:
+ * functionalRead(4096 + 10, 200 bytes) must equal those bytes of the
+ * functionalReadBlock reads of its four blocks, on every kind at one
+ * and two channels, mid-run and at the end.
+ */
+TEST(SystemTest, UnalignedFunctionalReadMatchesBlockReadsOnEveryKind)
+{
+    constexpr Addr kStart = 4096 + 10;
+    constexpr std::size_t kLen = 200;
+    const Addr first = blockAlign(kStart);
+    const std::size_t span = blockAlign(kStart + kLen - 1) + kBlockSize -
+                             first;
+    for (unsigned channels : {1u, 2u}) {
+        for (SystemKind kind : kAllSystemKinds) {
+            MicroWorkload::Params mp;
+            mp.pattern = MicroWorkload::Pattern::Random;
+            mp.array_bytes = 16u << 10;
+            mp.total_accesses = 4000;
+            MicroWorkload wl(mp);
+            SystemConfig cfg = smallSystem(kind);
+            cfg.channels = channels;
+            cfg.epoch_length = 100 * kMicrosecond;
+            cfg.use_caches = false;
+            System sys(cfg, wl);
+            MemController& c = sys.controller();
+            std::vector<std::uint8_t> image(mp.array_bytes);
+            for (std::size_t i = 0; i < image.size(); ++i)
+                image[i] = static_cast<std::uint8_t>(i * 7 + 3);
+            c.loadImage(0, image.data(), image.size());
+            sys.start();
+            const std::string what = std::string(systemKindName(kind)) +
+                                     " ch" + std::to_string(channels);
+            for (Tick slice : {30 * kMicrosecond, kSecond}) {
+                sys.run(slice);
+                std::vector<std::uint8_t> blocks(span);
+                for (std::size_t off = 0; off < span; off += kBlockSize)
+                    c.functionalReadBlock(first + off, blocks.data() + off);
+                std::vector<std::uint8_t> got(kLen);
+                c.functionalRead(kStart, got.data(), kLen);
+                const auto want = blocks.begin() + (kStart - first);
+                EXPECT_TRUE(std::equal(got.begin(), got.end(), want))
+                    << what << " at tick " << sys.eventq().now();
+            }
+            EXPECT_TRUE(sys.finished()) << what;
         }
     }
 }

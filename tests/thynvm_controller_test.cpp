@@ -76,7 +76,7 @@ TEST_F(ThyNvmTest, StoreCreatesBttEntryAndRemapsInNvm)
     // The home copy must be untouched: the working copy was remapped
     // into Checkpoint Region A.
     std::uint8_t home[kBlockSize];
-    ctrl->nvm().store().read(ctrl->layout().homeAddr(8192), home,
+    ctrl->nvmDevice()->store().read(ctrl->layout().homeAddr(8192), home,
                              kBlockSize);
     EXPECT_EQ(std::memcmp(home, data.data(), kBlockSize) != 0, true);
 }
@@ -106,10 +106,10 @@ TEST_F(ThyNvmTest, BlockCheckpointIsMetadataOnly)
     ctrl->start();
     storeBlock(eq, *ctrl, 4096, patternBlock(5));
     const auto ckpt_bytes_before =
-        ctrl->nvm().writeBytes(TrafficSource::Checkpoint);
+        ctrl->nvmDevice()->writeBytes(TrafficSource::Checkpoint);
     checkpoint();
     const auto ckpt_bytes =
-        ctrl->nvm().writeBytes(TrafficSource::Checkpoint) -
+        ctrl->nvmDevice()->writeBytes(TrafficSource::Checkpoint) -
         ckpt_bytes_before;
     // Only table images, the overflow live-slot bitmap, and the header
     // are written — no data blocks. The BTT+PTT image is (64+8)*16 B.

@@ -127,7 +127,7 @@ TEST_F(OverflowTest, RetirementDrainsBufferToHome)
     checkpoint();
     checkpoint();
     checkpoint();
-    EXPECT_GT(ctrl->nvm().writeBytes(TrafficSource::Migration), 0u);
+    EXPECT_GT(ctrl->nvmDevice()->writeBytes(TrafficSource::Migration), 0u);
     for (unsigned i = 0; i < 12; ++i)
         EXPECT_EQ(loadBlock(eq, *ctrl, i * kPageSize), patternBlock(i));
     // After retirement, the data must be durable at home even across
