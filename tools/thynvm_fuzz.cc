@@ -21,8 +21,10 @@
  * THYNVM_CHANNELS environment variable, else 1) runs every simulated
  * System on an N-channel interleaved topology, which adds per-channel
  * (chK.*) and cross-channel barrier (group.*) crash sites to the plan.
- * An explicit --channels wins over the environment and is recorded in
- * every repro string (":ch=N", also for N = 1).
+ * An explicit --channels wins over the environment. Multi-channel
+ * repro strings record the topology (":ch=N"); single-channel ones,
+ * from the flag or the environment, carry none (an old ":ch=1" string
+ * still replays).
  */
 
 #include <cstdio>
@@ -148,12 +150,15 @@ main(int argc, char** argv)
         }
     }
 
-    if (channels == 0) {
-        // No flag: defer to THYNVM_CHANNELS. A single-channel run
-        // keeps channels 0, so its repro strings carry no ":ch=".
+    // No flag: defer to THYNVM_CHANNELS.
+    if (channels == 0)
         channels = channelsFromEnv();
-        if (channels == 1)
-            channels = 0;
+    if (channels == 1) {
+        // A single-channel run keeps channels 0, so its repro strings
+        // carry no ":ch=". Channels 0 defers each System to
+        // THYNVM_CHANNELS, so pin that to 1: the flag wins.
+        setenv("THYNVM_CHANNELS", "1", 1);
+        channels = 0;
     }
     opts.channels = channels;
 
