@@ -4,14 +4,18 @@
  *
  * A small, fast xoshiro256** generator seeded via splitmix64. Simulation
  * results must be reproducible across runs, so all randomness in the
- * repository flows through this class with explicit seeds.
+ * repository flows through this class with explicit seeds. Store
+ * payloads come from fillLcgPayload(), one LCG stream per seed.
  */
 
 #ifndef THYNVM_COMMON_RNG_HH
 #define THYNVM_COMMON_RNG_HH
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/logging.hh"
 
@@ -98,6 +102,51 @@ class Rng
 
     std::uint64_t state_[4];
 };
+
+/**
+ * Fill @p len bytes at @p dst with the payload stream of @p seed: the
+ * little-endian words of the LCG chain w(0) = seed, w(k+1) = a*w(k) + c
+ * (mod 2^64), the last word cut to len % 8 bytes. Every workload's store
+ * payloads, and so every golden and recorded digest, are this stream.
+ *
+ * Four lanes hold w(4m) .. w(4m+3). Each jumps four steps at once with
+ * w(k+4) = A4*w(k) + C4, A4 = a^4, C4 = c*(a^3 + a^2 + a + 1), so a
+ * 32-byte stride costs four independent multiply-adds instead of a
+ * chain of four. The at most three whole words left over come from
+ * lanes 0, 1, 2 in order and the byte tail from the next lane, which
+ * keeps the output byte-identical to the serial chain for every length.
+ */
+inline void
+fillLcgPayload(std::uint8_t* dst, std::size_t len, std::uint64_t seed)
+{
+    static_assert(std::endian::native == std::endian::little,
+                  "payload words are stored little-endian");
+    constexpr std::uint64_t kA = 6364136223846793005ULL;
+    constexpr std::uint64_t kC = 1442695040888963407ULL;
+    constexpr std::uint64_t kA4 = kA * kA * kA * kA;
+    constexpr std::uint64_t kC4 = kC * (kA * kA * kA + kA * kA + kA + 1);
+    std::uint64_t w0 = seed;
+    std::uint64_t w1 = w0 * kA + kC;
+    std::uint64_t w2 = w1 * kA + kC;
+    std::uint64_t w3 = w2 * kA + kC;
+    std::size_t i = 0;
+    for (; i + 32 <= len; i += 32) {
+        std::memcpy(dst + i, &w0, 8);
+        std::memcpy(dst + i + 8, &w1, 8);
+        std::memcpy(dst + i + 16, &w2, 8);
+        std::memcpy(dst + i + 24, &w3, 8);
+        w0 = w0 * kA4 + kC4;
+        w1 = w1 * kA4 + kC4;
+        w2 = w2 * kA4 + kC4;
+        w3 = w3 * kA4 + kC4;
+    }
+    const std::uint64_t rest[4] = {w0, w1, w2, w3};
+    std::size_t lane = 0;
+    for (; i + 8 <= len; i += 8)
+        std::memcpy(dst + i, &rest[lane++], 8);
+    for (std::size_t b = 0; i + b < len; ++b)
+        dst[i + b] = static_cast<std::uint8_t>(rest[lane] >> (b * 8));
+}
 
 /**
  * Zipfian rank generator in the rejection-free closed form of Gray et

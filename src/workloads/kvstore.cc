@@ -15,16 +15,7 @@ void
 KvWorkload::fillValue(std::uint64_t key, std::uint64_t txn,
                       std::uint8_t* buf, std::uint32_t len)
 {
-    std::uint64_t v = (key + 1) * 0x9e3779b97f4a7c15ULL ^ (txn + 1);
-    // Eight little-endian bytes per LCG step, then the byte tail.
-    std::uint32_t i = 0;
-    for (; i + 8 <= len; i += 8) {
-        for (std::uint32_t b = 0; b < 8; ++b)
-            buf[i + b] = static_cast<std::uint8_t>(v >> (b * 8));
-        v = v * 6364136223846793005ULL + 1442695040888963407ULL;
-    }
-    for (std::uint32_t b = 0; i + b < len; ++b)
-        buf[i + b] = static_cast<std::uint8_t>(v >> (b * 8));
+    fillLcgPayload(buf, len, (key + 1) * 0x9e3779b97f4a7c15ULL ^ (txn + 1));
 }
 
 namespace {

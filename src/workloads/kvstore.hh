@@ -102,8 +102,9 @@ class KvWorkload : public Workload
     static void validateStructure(const Params& p, MemSpace& mem);
 
     /**
-     * Deterministic value payload for (key, txn): @p len bytes of an
-     * LCG stream, each 64-bit state emitted little-endian.
+     * Deterministic value payload for (key, txn): @p len bytes of the
+     * fillLcgPayload() stream of seed
+     * (key + 1) * 0x9e3779b97f4a7c15 ^ (txn + 1).
      */
     static void fillValue(std::uint64_t key, std::uint64_t txn,
                           std::uint8_t* buf, std::uint32_t len);

@@ -155,19 +155,9 @@ class MicroWorkload : public Workload
     fillPattern(Addr addr)
     {
         // Deterministic, address- and sequence-dependent payload so
-        // consistency checks can detect lost or misplaced writes. One
-        // little-endian word store per 8 bytes produces exactly the
-        // byte-at-a-time `v >> ((i % 8) * 8)` sequence this generator
-        // has always emitted, at a fraction of the host cost.
-        std::uint64_t v = addr * 0x9e3779b97f4a7c15ULL + issued_;
-        const std::size_t size = store_buf_.size();
-        std::size_t i = 0;
-        for (; i + 8 <= size; i += 8) {
-            std::memcpy(store_buf_.data() + i, &v, 8);
-            v = v * 6364136223846793005ULL + 1442695040888963407ULL;
-        }
-        for (; i < size; ++i)
-            store_buf_[i] = static_cast<std::uint8_t>(v >> ((i % 8) * 8));
+        // consistency checks can detect lost or misplaced writes.
+        fillLcgPayload(store_buf_.data(), store_buf_.size(),
+                       addr * 0x9e3779b97f4a7c15ULL + issued_);
     }
 
     Params p_;

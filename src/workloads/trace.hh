@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "cpu/workload.hh"
 
 namespace thynvm {
@@ -153,12 +154,8 @@ class TraceReplayWorkload : public Workload
     void
     fillPayload(Addr addr, std::uint64_t seq, std::uint32_t len)
     {
-        std::uint64_t v = addr * 0x9e3779b97f4a7c15ULL + seq;
-        for (std::uint32_t i = 0; i < len; ++i) {
-            store_buf_[i] = static_cast<std::uint8_t>(v >> ((i % 8) * 8));
-            if (i % 8 == 7)
-                v = v * 6364136223846793005ULL + 1442695040888963407ULL;
-        }
+        fillLcgPayload(store_buf_.data(), len,
+                       addr * 0x9e3779b97f4a7c15ULL + seq);
     }
 
     std::vector<TraceRecord> records_;

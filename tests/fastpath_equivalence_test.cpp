@@ -104,6 +104,16 @@ TEST(FastPathEquivalenceTest, ShadowBlockAccesses)
     expectEquivalent(SystemKind::Shadow, 64);
 }
 
+TEST(FastPathEquivalenceTest, IclBlockAccesses)
+{
+    expectEquivalent(SystemKind::Icl, 64);
+}
+
+TEST(FastPathEquivalenceTest, IncrementalBlockAccesses)
+{
+    expectEquivalent(SystemKind::Incremental, 64);
+}
+
 TEST(FastPathEquivalenceTest, IdealDramBlockAccesses)
 {
     expectEquivalent(SystemKind::IdealDram, 64);
@@ -118,7 +128,9 @@ TEST(FastPathEquivalenceTest, MultiBlockOps)
 {
     // 1KB ops span 16 blocks; the fast path collapses them into one
     // completion event per op, which must not change simulated time.
-    expectEquivalent(SystemKind::ThyNvm, 1024);
+    // This is perfbench l1_resident's op shape, on every kind.
+    for (SystemKind kind : kAllSystemKinds)
+        expectEquivalent(kind, 1024);
 }
 
 /**
@@ -183,6 +195,16 @@ TEST(FastPathEquivalenceTest, JournalCrashRecoveryAtEverySite)
 TEST(FastPathEquivalenceTest, ShadowCrashRecoveryAtEverySite)
 {
     expectCrashEquivalent(SystemKind::Shadow, "rand");
+}
+
+TEST(FastPathEquivalenceTest, IclCrashRecoveryAtEverySite)
+{
+    expectCrashEquivalent(SystemKind::Icl, "rand");
+}
+
+TEST(FastPathEquivalenceTest, IncrementalCrashRecoveryAtEverySite)
+{
+    expectCrashEquivalent(SystemKind::Incremental, "rand");
 }
 
 } // namespace

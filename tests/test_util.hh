@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "common/types.hh"
 #include "harness/system_kind.hh"
 #include "mem/controller.hh"
@@ -28,12 +29,8 @@ inline std::array<std::uint8_t, kBlockSize>
 patternBlock(std::uint64_t tag)
 {
     std::array<std::uint8_t, kBlockSize> data{};
-    std::uint64_t v = tag * 0x9e3779b97f4a7c15ULL + 1;
-    for (std::size_t i = 0; i < kBlockSize; ++i) {
-        data[i] = static_cast<std::uint8_t>(v >> ((i % 8) * 8));
-        if (i % 8 == 7)
-            v = v * 6364136223846793005ULL + 1442695040888963407ULL;
-    }
+    fillLcgPayload(data.data(), data.size(),
+                   tag * 0x9e3779b97f4a7c15ULL + 1);
     return data;
 }
 

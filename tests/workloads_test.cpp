@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <utility>
 #include <vector>
@@ -17,12 +18,63 @@
 #include "workloads/micro.hh"
 #include "workloads/rbtree.hh"
 #include "workloads/spec.hh"
+#include "workloads/trace.hh"
 
 namespace thynvm {
 namespace {
 
 constexpr Addr kHeapBase = 4096;
 constexpr std::size_t kSpace = 8u << 20;
+constexpr std::uint64_t kPhi = 0x9e3779b97f4a7c15ULL;
+
+/**
+ * The payload stream one byte at a time, the way every golden and
+ * recorded digest was first generated: byte i is byte i % 8 of the
+ * (i / 8)-th word of the serial LCG chain that starts at @p seed.
+ */
+void
+bytewisePayload(std::uint8_t* dst, std::size_t len, std::uint64_t seed)
+{
+    std::uint64_t v = seed;
+    for (std::size_t i = 0; i < len; ++i) {
+        dst[i] = static_cast<std::uint8_t>(v >> ((i % 8) * 8));
+        if (i % 8 == 7)
+            v = v * 6364136223846793005ULL + 1442695040888963407ULL;
+    }
+}
+
+/** Index of the first byte where @p got and @p want differ, or -1. */
+long
+firstMismatch(const std::uint8_t* got, const std::uint8_t* want,
+              std::size_t len)
+{
+    for (std::size_t i = 0; i < len; ++i) {
+        if (got[i] != want[i])
+            return static_cast<long>(i);
+    }
+    return -1;
+}
+
+TEST(PayloadTest, FourLaneFillMatchesBytewiseStreamAtEveryLength)
+{
+    // 0..4200 covers every tail shape modulo 32 (whole lanes left over)
+    // and modulo 8 (bytes of the next lane's word) many times over.
+    constexpr std::size_t kMaxLen = 4200;
+    std::vector<std::uint8_t> want(kMaxLen + 1);
+    std::vector<std::uint8_t> got(kMaxLen + 1);
+    for (std::uint64_t seed :
+         {0ull, 1ull, 0x0123456789abcdefull, ~0ull}) {
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            // One guard byte past the end must stay untouched.
+            std::fill(want.begin(), want.end(), 0xa5);
+            std::fill(got.begin(), got.end(), 0xa5);
+            bytewisePayload(want.data(), len, seed);
+            fillLcgPayload(got.data(), len, seed);
+            ASSERT_EQ(firstMismatch(got.data(), want.data(), len + 1), -1)
+                << "len=" << len << " seed=" << seed;
+        }
+    }
+}
 
 struct HeapTest : public ::testing::Test
 {
@@ -398,6 +450,60 @@ TEST(MicroWorkloadTest, SnapshotRestoreResumesStream)
     }
 }
 
+TEST(MicroWorkloadTest, StorePayloadsMatchBytewiseStream)
+{
+    // l1_resident's shape (1 KB ops) and a size with a word tail.
+    for (std::uint32_t size : {1024u, 40u}) {
+        MicroWorkload::Params p;
+        p.pattern = MicroWorkload::Pattern::Random;
+        p.array_bytes = 64 * size;
+        p.access_size = size;
+        p.total_accesses = 600;
+        MicroWorkload wl(p);
+        std::vector<std::uint8_t> want(size);
+        WorkOp op;
+        int stores = 0;
+        while (wl.next(op)) {
+            if (op.kind != WorkOp::Kind::Store)
+                continue;
+            ++stores;
+            bytewisePayload(want.data(), size, op.addr * kPhi + wl.issued());
+            ASSERT_EQ(firstMismatch(op.data, want.data(), size), -1)
+                << "size=" << size << " store " << stores;
+        }
+        EXPECT_GT(stores, 200);
+    }
+}
+
+TEST(TraceReplayTest, StorePayloadsMatchBytewiseStream)
+{
+    // Stores of random sizes up to the replay buffer, mixed with loads.
+    Rng rng(99);
+    std::vector<TraceRecord> records;
+    for (int i = 0; i < 400; ++i) {
+        TraceRecord rec{};
+        rec.kind = static_cast<std::uint8_t>(
+            rng.chance(0.75) ? WorkOp::Kind::Store : WorkOp::Kind::Load);
+        rec.size = static_cast<std::uint32_t>(rng.range(1, 8192));
+        rec.addr = rng.below(1u << 30);
+        records.push_back(rec);
+    }
+    TraceReplayWorkload wl(records);
+    std::vector<std::uint8_t> want(8192);
+    WorkOp op;
+    int stores = 0;
+    while (wl.next(op)) {
+        if (op.kind != WorkOp::Kind::Store)
+            continue;
+        ++stores;
+        // The sequence number is the record's 1-based position.
+        bytewisePayload(want.data(), op.size, op.addr * kPhi + wl.position());
+        ASSERT_EQ(firstMismatch(op.data, want.data(), op.size), -1)
+            << "size=" << op.size << " position " << wl.position();
+    }
+    EXPECT_GT(stores, 250);
+}
+
 TEST(SpecWorkloadTest, ProfilesExist)
 {
     EXPECT_EQ(specProfiles().size(), 8u);
@@ -477,12 +583,7 @@ TEST(KvWorkloadTest, FillValueMatchesBytewiseStream)
     // golden and recorded digest was generated by it.
     auto bytewise = [](std::uint64_t key, std::uint64_t txn,
                        std::uint8_t* buf, std::uint32_t len) {
-        std::uint64_t v = (key + 1) * 0x9e3779b97f4a7c15ULL ^ (txn + 1);
-        for (std::uint32_t i = 0; i < len; ++i) {
-            buf[i] = static_cast<std::uint8_t>(v >> ((i % 8) * 8));
-            if (i % 8 == 7)
-                v = v * 6364136223846793005ULL + 1442695040888963407ULL;
-        }
+        bytewisePayload(buf, len, (key + 1) * kPhi ^ (txn + 1));
     };
     const std::pair<std::uint64_t, std::uint64_t> key_txns[] = {
         {0, 0}, {17, 3}, {~0ull, 123456789}};

@@ -24,7 +24,9 @@
  * An explicit --channels wins over the environment. Multi-channel
  * repro strings record the topology (":ch=N"); single-channel ones,
  * from the flag or the environment, carry none (an old ":ch=1" string
- * still replays).
+ * still replays). --replay takes the topology from the repro's ":ch=";
+ * a repro without one runs on the --channels topology (no flag: the
+ * environment's). A --channels that disagrees with ":ch=" is an error.
  */
 
 #include <cstdio>
@@ -49,7 +51,10 @@ usage(const char* argv0)
                  "[--deltas t0,t1,...]\n"
                  "          [--threads N] [--channels N] "
                  "[--inject-drop-btt IDX]\n"
-                 "          [--list-sites] [--replay REPRO]\n",
+                 "          [--list-sites] [--replay REPRO]\n"
+                 "--replay runs REPRO on its own \":ch=N\" topology, "
+                 "else on --channels N;\n"
+                 "the two must agree when both are given.\n",
                  argv0);
     return 2;
 }
@@ -74,13 +79,24 @@ listSites(const FuzzerConfig& fc, unsigned channels)
     return 0;
 }
 
+/** @param flag_channels the explicit --channels value, 0 if none. */
 int
-replay(const FuzzerConfig& fc, const std::string& repro)
+replay(const FuzzerConfig& fc, const std::string& repro,
+       unsigned flag_channels)
 {
     FuzzCase c;
     if (!parseRepro(repro, c)) {
         std::fprintf(stderr, "malformed repro string: %s\n",
                      repro.c_str());
+        return 2;
+    }
+    if (flag_channels != 0 && c.channels == 0) {
+        // A single-channel run keeps channels 0 (main pinned the env).
+        c.channels = flag_channels == 1 ? 0 : flag_channels;
+    } else if (flag_channels != 0 && c.channels != flag_channels) {
+        std::fprintf(stderr,
+                     "--channels %u disagrees with the repro's :ch=%u\n",
+                     flag_channels, c.channels);
         return 2;
     }
     const CaseResult r = runCrashCase(fc, c);
@@ -150,6 +166,7 @@ main(int argc, char** argv)
         }
     }
 
+    const unsigned flag_channels = channels;
     // No flag: defer to THYNVM_CHANNELS.
     if (channels == 0)
         channels = channelsFromEnv();
@@ -165,7 +182,7 @@ main(int argc, char** argv)
     if (list_sites)
         return listSites(fc, channels);
     if (!replay_str.empty())
-        return replay(fc, replay_str);
+        return replay(fc, replay_str, flag_channels);
 
     if (n_seeds == 0)
         n_seeds = 1;
